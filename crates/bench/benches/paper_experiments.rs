@@ -24,7 +24,16 @@ fn bench_testgen(c: &mut Criterion) {
         let p = s.parse();
         let cfg = fuzz_cfg();
         g.bench_function(id, |b| {
-            b.iter(|| testgen::fuzz(black_box(&p), s.kernel, s.seed_inputs.clone(), &cfg).unwrap())
+            b.iter(|| {
+                testgen::fuzz(
+                    black_box(&p),
+                    s.kernel,
+                    s.seed_inputs.clone(),
+                    &cfg,
+                    &bench::default_env(),
+                )
+                .unwrap()
+            })
         });
     }
     g.finish();
@@ -38,7 +47,14 @@ fn bench_repair(c: &mut Criterion) {
     for id in ["P1", "P6", "P9"] {
         let s = benchsuite::subject(id).unwrap();
         let p = s.parse();
-        let fr = testgen::fuzz(&p, s.kernel, s.seed_inputs.clone(), &fuzz_cfg()).unwrap();
+        let fr = testgen::fuzz(
+            &p,
+            s.kernel,
+            s.seed_inputs.clone(),
+            &fuzz_cfg(),
+            &bench::default_env(),
+        )
+        .unwrap();
         let broken = heterogen_core::initial_version(&p, &fr.profile);
         let sc = repair::SearchConfig::builder()
             .with_budget_min(200.0)
@@ -54,6 +70,7 @@ fn bench_repair(c: &mut Criterion) {
                     &fr.corpus,
                     &fr.profile,
                     &sc,
+                    &bench::default_env(),
                 )
                 .unwrap()
             })
@@ -71,7 +88,7 @@ fn bench_ablations(c: &mut Criterion) {
     let p = s.parse();
     let mut seeds = s.seed_inputs.clone();
     seeds.extend(s.existing_tests.clone());
-    let fr = testgen::fuzz(&p, s.kernel, seeds, &fuzz_cfg()).unwrap();
+    let fr = testgen::fuzz(&p, s.kernel, seeds, &fuzz_cfg(), &bench::default_env()).unwrap();
     let broken = heterogen_core::initial_version(&p, &fr.profile);
     let base = repair::SearchConfig::builder()
         .with_budget_min(200.0)
@@ -103,6 +120,7 @@ fn bench_ablations(c: &mut Criterion) {
                     &fr.corpus,
                     &fr.profile,
                     &sc,
+                    &bench::default_env(),
                 )
                 .unwrap()
             })

@@ -27,7 +27,7 @@ fn prepared(
         .with_idle_stop_min(0.3)
         .with_max_execs(200)
         .build();
-    let fr = testgen::fuzz(&p, s.kernel, seeds, &fuzz_cfg).unwrap();
+    let fr = testgen::fuzz(&p, s.kernel, seeds, &fuzz_cfg, &bench::default_env()).unwrap();
     let broken = heterogen_core::initial_version(&p, &fr.profile);
     (p, broken, s.kernel, fr.corpus, fr.profile)
 }
@@ -56,6 +56,7 @@ fn bench_search_threads(c: &mut Criterion) {
                         &corpus,
                         &profile,
                         &sc,
+                        &bench::default_env(),
                     )
                     .unwrap()
                 })
@@ -86,10 +87,9 @@ fn bench_fingerprint(c: &mut Criterion) {
     g.finish();
 }
 
-/// The trace layer's zero-cost-when-off claim: the same search through the
-/// untraced entry point (`repair` — monomorphized `NullSink`, emission
-/// compiled out) versus a disabled `&dyn TraceSink` through
-/// `repair_traced`, the shape `Session` drives. Both must be
+/// The trace layer's zero-cost-when-off claim: the same search in an `Env`
+/// with the monomorphized `NullSink` (emission compiled out) versus one
+/// with a disabled `&dyn TraceSink`, the shape `Session` drives. Both must be
 /// indistinguishable — the `reproduce -- bench-guard` subcommand enforces
 /// the bound in CI.
 fn bench_trace_overhead(c: &mut Criterion) {
@@ -100,6 +100,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
         .with_explore_performance(false)
         .with_threads(1)
         .build();
+    let env = bench::default_env();
     let mut g = c.benchmark_group("repair_search/trace_overhead");
     g.sample_size(10);
     g.bench_function("untraced", |b| {
@@ -111,21 +112,23 @@ fn bench_trace_overhead(c: &mut Criterion) {
                 &corpus,
                 &profile,
                 &sc,
+                &env,
             )
             .unwrap()
         })
     });
     let dyn_sink: &dyn heterogen_trace::TraceSink = &heterogen_trace::NullSink;
+    let dyn_env = bench::default_env().with_sink(dyn_sink);
     g.bench_function("null_sink", |b| {
         b.iter(|| {
-            repair::repair_traced(
+            repair::repair(
                 black_box(&p),
                 broken.clone(),
                 kernel,
                 &corpus,
                 &profile,
                 &sc,
-                dyn_sink,
+                &dyn_env,
             )
             .unwrap()
         })

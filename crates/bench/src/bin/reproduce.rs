@@ -19,10 +19,10 @@
 //! ```
 
 use bench::*;
-use heterogen_core::{HeteroGen, JobSpec, PipelineConfig};
+use heterogen_core::{HeteroGen, JobSpec, PipelineConfig, SessionBuilder};
 use heterogen_server::{loadgen, Server, ServerConfig};
 use heterogen_store::Store;
-use heterogen_toolchain::{EvalCache, Memoized, Resilient, SimBackend, Toolchain, Traced};
+use heterogen_toolchain::{Env, EvalCache, Memoized, Resilient, SimBackend, Toolchain, Traced};
 use heterogen_trace::{JsonlSink, MetricsSink, NullSink, TeeSink, TraceSink};
 use minic_exec::ExecEngine;
 use std::path::{Path, PathBuf};
@@ -85,32 +85,48 @@ impl CommonOpts {
         })
     }
 
-    /// The standard pipeline configuration with the `--threads` and
-    /// `--engine` overrides applied to both the fuzzing and search phases.
+    /// The standard pipeline configuration with the `--threads` override
+    /// applied to both the fuzzing and search phases.
     fn config(&self) -> PipelineConfig {
         let mut cfg = standard_config();
         if let Some(t) = self.threads {
             cfg.fuzz.threads = t;
             cfg.search.threads = t;
         }
-        if let Some(e) = self.engine {
-            cfg.fuzz.engine = e;
-            cfg.search.engine = e;
-        }
         cfg
     }
 
-    /// A job for `subject` honouring the `--backend` override.
+    /// The backend named by `--backend` (default profile otherwise) on the
+    /// `--engine` engine — the one place the engine is chosen, for every
+    /// phase of the run.
+    fn backend(&self) -> SimBackend {
+        let name = self.backend.as_deref().unwrap_or("default");
+        let backend = SimBackend::by_name(name).unwrap_or_else(|| {
+            eprintln!(
+                "unknown backend `{name}`; expected one of: {}",
+                SimBackend::names().join(" ")
+            );
+            std::process::exit(2);
+        });
+        backend.with_engine(self.engine.unwrap_or_default())
+    }
+
+    /// A session builder with [`CommonOpts::config`] and
+    /// [`CommonOpts::backend`] applied.
+    fn session(&self) -> SessionBuilder {
+        HeteroGen::builder()
+            .config(self.config())
+            .backend(self.backend())
+    }
+
+    /// A job for `subject`; the backend comes from the session.
     fn spec_for(&self, s: &benchsuite::Subject) -> JobSpec {
         let mut seeds = s.seed_inputs.clone();
         seeds.extend(s.existing_tests.clone());
-        let mut b = JobSpec::builder(s.parse(), s.kernel)
+        JobSpec::builder(s.parse(), s.kernel)
             .seeds(seeds)
-            .mined(self.wants_mined);
-        if let Some(name) = &self.backend {
-            b = b.backend(name);
-        }
-        b.build()
+            .mined(self.wants_mined)
+            .build()
     }
 }
 
@@ -270,7 +286,7 @@ fn run_one(opts: &CommonOpts) {
     if opts.wants_mined && opts.store_dir.is_none() {
         eprintln!("note: --mined is inert without --store <dir> (patterns live in the store)");
     }
-    let mut builder = HeteroGen::builder().config(opts.config());
+    let mut builder = opts.session();
     if let Some(store) = opts.open_store() {
         builder = builder.store(store);
     }
@@ -327,7 +343,7 @@ fn run_trace(opts: &CommonOpts) {
         metrics.clone() as Arc<dyn TraceSink>,
         jsonl.clone() as Arc<dyn TraceSink>,
     ]));
-    let mut builder = HeteroGen::builder().config(opts.config()).sink(tee);
+    let mut builder = opts.session().sink(tee);
     if let Some(store) = opts.open_store() {
         builder = builder.store(store);
     }
@@ -498,7 +514,7 @@ fn run_bench_guard() {
         .build();
     let mut seeds = s.seed_inputs.clone();
     seeds.extend(s.existing_tests.clone());
-    let fr = testgen::fuzz(&p, s.kernel, seeds, &fuzz_cfg).expect("fuzz P3");
+    let fr = testgen::fuzz(&p, s.kernel, seeds, &fuzz_cfg, &default_env()).expect("fuzz P3");
     let broken = heterogen_core::initial_version(&p, &fr.profile);
     let sc = repair::SearchConfig::builder()
         .with_budget_min(180.0)
@@ -506,21 +522,31 @@ fn run_bench_guard() {
         .with_threads(1)
         .build();
 
+    let env = default_env();
     let dyn_sink: &dyn TraceSink = &NullSink;
+    let dyn_env = default_env().with_sink(dyn_sink);
     let time_one = |traced: bool| -> f64 {
         let t0 = std::time::Instant::now();
         let out = if traced {
-            repair::repair_traced(
+            repair::repair(
                 &p,
                 broken.clone(),
                 s.kernel,
                 &fr.corpus,
                 &fr.profile,
                 &sc,
-                dyn_sink,
+                &dyn_env,
             )
         } else {
-            repair::repair(&p, broken.clone(), s.kernel, &fr.corpus, &fr.profile, &sc)
+            repair::repair(
+                &p,
+                broken.clone(),
+                s.kernel,
+                &fr.corpus,
+                &fr.profile,
+                &sc,
+                &env,
+            )
         }
         .expect("repair P3");
         assert!(out.success, "guard run must converge");
@@ -639,17 +665,24 @@ fn run_bench_guard() {
         let p = s.parse();
         let mut seeds = s.seed_inputs.clone();
         seeds.extend(s.existing_tests.clone());
-        let fr =
-            testgen::fuzz(&p, s.kernel, seeds, &fuzz_cfg).unwrap_or_else(|e| panic!("{id}: {e}"));
+        let fr = testgen::fuzz(&p, s.kernel, seeds, &fuzz_cfg, &default_env())
+            .unwrap_or_else(|e| panic!("{id}: {e}"));
         let broken = heterogen_core::initial_version(&p, &fr.profile);
         let time_engine = |engine: ExecEngine| -> f64 {
-            let ec = sc.clone().to_builder().with_engine(engine).build();
+            let env = Env::new(SimBackend::default_profile().with_engine(engine));
             let mut best = f64::MAX;
             for _ in 0..3 {
                 let t0 = std::time::Instant::now();
-                let out =
-                    repair::repair(&p, broken.clone(), s.kernel, &fr.corpus, &fr.profile, &ec)
-                        .unwrap_or_else(|e| panic!("{id}: {e}"));
+                let out = repair::repair(
+                    &p,
+                    broken.clone(),
+                    s.kernel,
+                    &fr.corpus,
+                    &fr.profile,
+                    &sc,
+                    &env,
+                )
+                .unwrap_or_else(|e| panic!("{id}: {e}"));
                 let secs = t0.elapsed().as_secs_f64().max(1e-9);
                 best = best.min(secs / out.stats.attempts.max(1) as f64);
             }
@@ -792,7 +825,7 @@ fn run_chaos(opts: &CommonOpts) {
         .build();
     let mut seeds = s.seed_inputs.clone();
     seeds.extend(s.existing_tests.clone());
-    let fr = testgen::fuzz(&p, s.kernel, seeds, &fuzz_cfg).unwrap_or_else(|e| {
+    let fr = testgen::fuzz(&p, s.kernel, seeds, &fuzz_cfg, &default_env()).unwrap_or_else(|e| {
         eprintln!("{id}: fuzzing failed: {e}");
         std::process::exit(1);
     });
@@ -804,14 +837,14 @@ fn run_chaos(opts: &CommonOpts) {
         .build();
 
     let base_sink = JsonlSink::new();
-    let base = repair::repair_traced(
+    let base = repair::repair(
         &p,
         broken.clone(),
         s.kernel,
         &fr.corpus,
         &fr.profile,
         &sc,
-        &base_sink,
+        &default_env().with_sink(&base_sink),
     )
     .unwrap_or_else(|e| {
         eprintln!("{id}: baseline repair failed: {e}");
@@ -847,15 +880,14 @@ fn run_chaos(opts: &CommonOpts) {
     // expected panic does not splat a backtrace over the report.
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let r = repair::repair_resilient(
+    let r = repair::repair(
         &p,
         broken,
         s.kernel,
         &fr.corpus,
         &fr.profile,
         &sc,
-        &NullSink,
-        &plan,
+        &default_env().with_faults(&plan),
     );
     std::panic::set_hook(hook);
     let r = r.unwrap_or_else(|e| {
@@ -939,14 +971,11 @@ fn run_chaos_store(opts: &CommonOpts) {
         let dir = base.join(format!("t{threads}"));
         let mut o = opts.clone();
         o.threads = Some(threads);
-        let cfg = o.config();
 
         // One pipeline execution: report JSON plus the full JSONL trace.
         let run_with = |store: Option<Arc<Store>>| -> (String, String) {
             let jsonl = Arc::new(JsonlSink::new());
-            let mut builder = HeteroGen::builder()
-                .config(cfg.clone())
-                .sink(jsonl.clone() as Arc<dyn TraceSink>);
+            let mut builder = o.session().sink(jsonl.clone() as Arc<dyn TraceSink>);
             if let Some(store) = store {
                 builder = builder.store(store);
             }
@@ -1242,6 +1271,14 @@ fn run_mine(opts: &CommonOpts) {
     }
 }
 
+/// The job server's workers build their sessions on the backend each spec
+/// names, on its default engine, so `--engine` cannot reach them.
+fn warn_engine_ignored(opts: &CommonOpts) {
+    if opts.engine.is_some() {
+        eprintln!("note: --engine is ignored by the job server (workers use the default engine)");
+    }
+}
+
 /// `reproduce -- serve [subject] [--backend <name>] [--threads <n>]
 /// [--json [path]]`: runs the benchmark subjects through the in-process job
 /// server — every subject is submitted up front under its own client id, the
@@ -1252,6 +1289,7 @@ fn run_serve(opts: &CommonOpts) {
         Some(id) => vec![load_subject(id)],
         None => benchsuite::subjects(),
     };
+    warn_engine_ignored(opts);
     let server = Server::start_with_store(
         ServerConfig::builder()
             .with_workers(opts.threads.unwrap_or(0))
@@ -1269,6 +1307,7 @@ fn run_serve(opts: &CommonOpts) {
         .map(|s| {
             let mut spec = opts.spec_for(s);
             spec.client = s.id.to_string();
+            spec.backend = opts.backend.clone();
             server.submit(spec).unwrap_or_else(|e| {
                 eprintln!("{}: submission rejected: {e}", s.id);
                 std::process::exit(1);
@@ -1350,6 +1389,7 @@ fn run_loadgen(opts: &CommonOpts, args: &[String]) {
     let queue: usize = flag_value(args, "--queue")
         .and_then(|v| v.parse().ok())
         .unwrap_or(64);
+    warn_engine_ignored(opts);
 
     // Small seeded subjects so a run is thousands of complete pipeline
     // executions, not minutes per job; parallelism comes from the worker

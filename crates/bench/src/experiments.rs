@@ -5,7 +5,9 @@
 //! worker pool; `parallel_map` returns rows in subject order, so the tables
 //! read identically regardless of thread count.
 
-use crate::{fpga_latency_ms, run_subject, standard_config};
+use crate::{default_env, fpga_latency_ms, run_subject, standard_config};
+use heterogen_toolchain::{Env, SimBackend};
+use heterogen_trace::NullSink;
 use hls_sim::ErrorCategory;
 use minic_exec::{CoverageMap, ExecEngine, Machine, MachineConfig};
 use repair::{DifferentialTester, SearchConfig};
@@ -210,12 +212,13 @@ pub struct Table4Row {
 /// of the subjects' pre-existing tests measured by replay.
 pub fn table4() -> Vec<Table4Row> {
     let cfg = standard_config();
+    let env = default_env();
     let subjects = benchsuite::subjects();
     parallel::parallel_map(0, &subjects, |_, s| {
         let p = s.parse();
         let mut seeds = s.seed_inputs.clone();
         seeds.extend(s.existing_tests.clone());
-        let fr = testgen::fuzz(&p, s.kernel, seeds, &cfg.fuzz)
+        let fr = testgen::fuzz(&p, s.kernel, seeds, &cfg.fuzz, &env)
             .unwrap_or_else(|e| panic!("{}: {e}", s.id));
         let existing_coverage = if s.existing_tests.is_empty() {
             None
@@ -355,14 +358,25 @@ pub fn fig8() -> Fig8Result {
         .run(heterogen_core::JobSpec::fuzz(p.clone(), s.kernel, seeds))
         .expect("generated run");
 
-    let d = DifferentialTester::new(&p, s.kernel, &generated_run.tests, 64)
-        .expect("reference executes");
+    let d = DifferentialTester::with_engine(
+        &p,
+        s.kernel,
+        &generated_run.tests,
+        64,
+        1,
+        ExecEngine::default(),
+    )
+    .expect("reference executes");
+    let evaluate = |candidate| {
+        d.evaluate_with(&SimBackend::default_profile(), candidate, &NullSink)
+            .pass_ratio
+    };
     Fig8Result {
         id: s.id.to_string(),
         generated_tests: generated_run.tests.len(),
         existing_tests: s.existing_tests.len(),
-        existing_output_pass: d.evaluate(&existing_run.program).pass_ratio,
-        generated_output_pass: d.evaluate(&generated_run.program).pass_ratio,
+        existing_output_pass: evaluate(&existing_run.program),
+        generated_output_pass: evaluate(&generated_run.program),
         applied: generated_run.repair.applied.clone(),
     }
 }
@@ -396,6 +410,7 @@ pub struct Fig9Row {
 /// exploration, and HLS-invocation counts with/without the style checker.
 pub fn fig9(subject_filter: Option<&str>) -> Vec<Fig9Row> {
     let cfg = standard_config();
+    let env = default_env();
     let subjects = benchsuite::subjects();
     let picked: Vec<_> = subjects
         .iter()
@@ -405,13 +420,21 @@ pub fn fig9(subject_filter: Option<&str>) -> Vec<Fig9Row> {
         let p = s.parse();
         let mut seeds = s.seed_inputs.clone();
         seeds.extend(s.existing_tests.clone());
-        let fr = testgen::fuzz(&p, s.kernel, seeds, &cfg.fuzz)
+        let fr = testgen::fuzz(&p, s.kernel, seeds, &cfg.fuzz, &env)
             .unwrap_or_else(|e| panic!("{}: {e}", s.id));
         let broken = heterogen_core::initial_version(&p, &fr.profile);
 
         let run = |sc: SearchConfig| {
-            repair::repair(&p, broken.clone(), s.kernel, &fr.corpus, &fr.profile, &sc)
-                .unwrap_or_else(|e| panic!("{}: {e}", s.id))
+            repair::repair(
+                &p,
+                broken.clone(),
+                s.kernel,
+                &fr.corpus,
+                &fr.profile,
+                &sc,
+                &env,
+            )
+            .unwrap_or_else(|e| panic!("{}: {e}", s.id))
         };
         let hg = run(cfg.search.clone());
         let wd = run(cfg
@@ -465,15 +488,16 @@ pub struct SeedAblationRow {
 /// efficiency" claim for kernel-entry seeds).
 pub fn ablation_seed() -> Vec<SeedAblationRow> {
     let cfg = standard_config().fuzz;
+    let env = default_env();
     let subjects = benchsuite::subjects();
     parallel::parallel_map(0, &subjects, |_, s| {
         let p = s.parse();
         let mut seeds = s.seed_inputs.clone();
         seeds.extend(s.existing_tests.clone());
-        let seeded =
-            testgen::fuzz(&p, s.kernel, seeds, &cfg).unwrap_or_else(|e| panic!("{}: {e}", s.id));
-        let random =
-            testgen::fuzz(&p, s.kernel, vec![], &cfg).unwrap_or_else(|e| panic!("{}: {e}", s.id));
+        let seeded = testgen::fuzz(&p, s.kernel, seeds, &cfg, &env)
+            .unwrap_or_else(|e| panic!("{}: {e}", s.id));
+        let random = testgen::fuzz(&p, s.kernel, vec![], &cfg, &env)
+            .unwrap_or_else(|e| panic!("{}: {e}", s.id));
         SeedAblationRow {
             id: s.id.to_string(),
             seeded_execs: seeded.executed,
@@ -630,6 +654,7 @@ pub struct MinedBench {
 /// corpus, same RNG trajectory — so the rows differ only in wall-clock.
 pub fn bench_repair(threads: usize, engines: &[ExecEngine]) -> RepairBench {
     let mut cfg = standard_config();
+    let fuzz_env = default_env();
     cfg.search.threads = threads;
     let subjects = benchsuite::subjects();
     let rows: Vec<RepairBenchRow> = subjects
@@ -638,13 +663,13 @@ pub fn bench_repair(threads: usize, engines: &[ExecEngine]) -> RepairBench {
             let p = s.parse();
             let mut seeds = s.seed_inputs.clone();
             seeds.extend(s.existing_tests.clone());
-            let fr = testgen::fuzz(&p, s.kernel, seeds, &cfg.fuzz)
+            let fr = testgen::fuzz(&p, s.kernel, seeds, &cfg.fuzz, &fuzz_env)
                 .unwrap_or_else(|e| panic!("{}: {e}", s.id));
             let broken = heterogen_core::initial_version(&p, &fr.profile);
             engines
                 .iter()
                 .map(|&engine| {
-                    let sc = cfg.search.clone().to_builder().with_engine(engine).build();
+                    let env = Env::new(SimBackend::default_profile().with_engine(engine));
                     // The search is deterministic, so repeated runs differ in
                     // wall-clock only: take the least-noisy (minimum) timing,
                     // as the bench guard does. The first round doubles as the
@@ -660,7 +685,8 @@ pub fn bench_repair(threads: usize, engines: &[ExecEngine]) -> RepairBench {
                             s.kernel,
                             &fr.corpus,
                             &fr.profile,
-                            &sc,
+                            &cfg.search,
+                            &env,
                         )
                         .unwrap_or_else(|e| panic!("{}: {e}", s.id));
                         wall_ms = wall_ms.min(started.elapsed().as_secs_f64() * 1e3);
@@ -751,6 +777,7 @@ fn bench_repair_warm(threads: usize) -> Vec<WarmBenchRow> {
 /// held-out subjects never contribute scripts, so any drop is transfer,
 /// not memorization.
 pub fn bench_repair_mined(threads: usize) -> MinedBench {
+    let env = default_env();
     let mut cfg = standard_config();
     cfg.search.threads = threads;
     let subjects = benchsuite::subjects();
@@ -761,7 +788,7 @@ pub fn bench_repair_mined(threads: usize) -> MinedBench {
         let p = s.parse();
         let mut seeds = s.seed_inputs.clone();
         seeds.extend(s.existing_tests.clone());
-        let fr = testgen::fuzz(&p, s.kernel, seeds, &cfg.fuzz)
+        let fr = testgen::fuzz(&p, s.kernel, seeds, &cfg.fuzz, &env)
             .unwrap_or_else(|e| panic!("{}: {e}", s.id));
         let broken = heterogen_core::initial_version(&p, &fr.profile);
         (p, fr, broken)
@@ -769,8 +796,16 @@ pub fn bench_repair_mined(threads: usize) -> MinedBench {
 
     let scripts: Vec<repair::EditScript> = parallel::parallel_map(threads, train, |_, s| {
         let (p, fr, broken) = fuzz_one(s);
-        let out = repair::repair(&p, broken, s.kernel, &fr.corpus, &fr.profile, &cfg.search)
-            .unwrap_or_else(|e| panic!("{}: {e}", s.id));
+        let out = repair::repair(
+            &p,
+            broken,
+            s.kernel,
+            &fr.corpus,
+            &fr.profile,
+            &cfg.search,
+            &env,
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", s.id));
         out.success.then_some(out.script)
     })
     .into_iter()
@@ -789,10 +824,19 @@ pub fn bench_repair_mined(threads: usize) -> MinedBench {
             &fr.corpus,
             &fr.profile,
             &cfg.search,
+            &env,
         )
         .unwrap_or_else(|e| panic!("{}: {e}", s.id));
-        let mined = repair::repair(&p, broken, s.kernel, &fr.corpus, &fr.profile, &mined_cfg)
-            .unwrap_or_else(|e| panic!("{}: {e}", s.id));
+        let mined = repair::repair(
+            &p,
+            broken,
+            s.kernel,
+            &fr.corpus,
+            &fr.profile,
+            &mined_cfg,
+            &env,
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", s.id));
         MinedBenchRow {
             id: s.id.to_string(),
             baseline_success: base.success,

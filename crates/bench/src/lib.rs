@@ -8,6 +8,9 @@
 
 use benchsuite::Subject;
 use heterogen_core::{HeteroGen, JobSpec, PipelineConfig, PipelineReport};
+use heterogen_toolchain::{Env, SimBackend};
+use heterogen_trace::NullSink;
+use minic_exec::ExecEngine;
 use repair::DifferentialTester;
 use serde::Serialize;
 
@@ -23,6 +26,12 @@ pub fn standard_config() -> PipelineConfig {
     cfg.fuzz.max_execs = 800;
     cfg.search.budget_min = 180.0;
     cfg
+}
+
+/// The default evaluation context: the default backend profile on the
+/// default engine, with tracing, faults and persistence off.
+pub fn default_env() -> Env<SimBackend> {
+    Env::new(SimBackend::default_profile())
 }
 
 /// Runs the full HeteroGen pipeline on one subject.
@@ -45,8 +54,10 @@ pub fn fpga_latency_ms(
     kernel: &str,
     tests: &[testgen::TestCase],
 ) -> f64 {
-    let d = DifferentialTester::new(original, kernel, tests, 24).expect("reference executes");
-    d.evaluate(candidate).fpga_latency_ms
+    let d = DifferentialTester::with_engine(original, kernel, tests, 24, 1, ExecEngine::default())
+        .expect("reference executes");
+    d.evaluate_with(&SimBackend::default_profile(), candidate, &NullSink)
+        .fpga_latency_ms
 }
 
 /// A plain-text table printer with padded columns.

@@ -25,11 +25,11 @@
 
 use heterogen_faults::{FaultInjector, NoFaults};
 use heterogen_store::{CorpusRecord, FuzzRound, ScriptKey, Store};
-use heterogen_toolchain::{SimBackend, Toolchain, VerdictStore};
+use heterogen_toolchain::{Env, SimBackend, Toolchain, VerdictStore};
 use heterogen_trace::{Event, NullSink, TraceSink};
 use minic::types::Type;
 use minic::Program;
-use minic_exec::{ExecEngine, Profile};
+use minic_exec::Profile;
 use repair::{EditScript, RepairOutcome, SearchConfig, SearchStop};
 use serde::Serialize;
 use std::path::PathBuf;
@@ -186,15 +186,6 @@ impl PipelineConfigBuilder {
     /// Enables or disables profile-guided bitwidth finitization.
     pub fn with_bitwidth_finitization(mut self, v: bool) -> Self {
         self.cfg.bitwidth_finitization = v;
-        self
-    }
-
-    /// Sets the execution engine for *every* phase (fuzzing and repair
-    /// alike). Equivalent to setting [`FuzzConfig::engine`] and
-    /// [`SearchConfig::engine`] individually.
-    pub fn with_engine(mut self, v: ExecEngine) -> Self {
-        self.cfg.fuzz.engine = v;
-        self.cfg.search.engine = v;
         self
     }
 
@@ -511,7 +502,7 @@ pub enum TestSource {
 ///
 /// `#[non_exhaustive]`: construct one with [`JobSpec::fuzz`] /
 /// [`JobSpec::with_tests`] or the full [`JobSpec::builder`], so new knobs
-/// (backend, seed, budgets, engine, client) are not semver breaks. All
+/// (backend, seed, budgets, client) are not semver breaks. All
 /// override fields default to "inherit from the session": a bare spec
 /// behaves exactly as the session is configured.
 #[derive(Debug, Clone)]
@@ -531,11 +522,6 @@ pub struct JobSpec {
     pub seed: Option<u64>,
     /// Per-phase budget override; `None` inherits the session's budgets.
     pub budgets: Option<PhaseBudgets>,
-    /// Execution-engine override for every phase; `None` inherits the
-    /// configured engines. Both engines produce identical reports — this
-    /// knob trades wall-clock speed (bytecode) against the reference
-    /// implementation (tree-walk, for differential testing).
-    pub engine: Option<ExecEngine>,
     /// Client identity for the server's fair-share admission. The library
     /// path ignores it.
     pub client: String,
@@ -585,7 +571,6 @@ impl JobSpec {
                 backend: None,
                 seed: None,
                 budgets: None,
-                engine: None,
                 client: ANONYMOUS_CLIENT.to_string(),
                 store_dir: None,
                 mined: false,
@@ -642,12 +627,6 @@ impl JobSpecBuilder {
     /// Overrides the per-phase work budgets.
     pub fn budgets(mut self, budgets: PhaseBudgets) -> Self {
         self.spec.budgets = Some(budgets);
-        self
-    }
-
-    /// Overrides the execution engine for every phase.
-    pub fn engine(mut self, engine: ExecEngine) -> Self {
-        self.spec.engine = Some(engine);
         self
     }
 
@@ -770,6 +749,9 @@ impl SessionBuilder {
     }
 }
 
+/// The evaluation context a [`Session`] runs a job in.
+type SessionEnv<'a> = Env<&'a dyn Toolchain, &'a dyn TraceSink, &'a dyn FaultInjector>;
+
 /// [`TraceSink`] shim that captures `FuzzRoundEnd` tuples for the
 /// persistent store while forwarding everything to the real sink. Always
 /// enabled so the generator constructs the events; forwarding still honors
@@ -815,16 +797,16 @@ impl Session {
     /// event stream — without executing a single input; a cold campaign
     /// runs normally and is then recorded.
     fn fuzz_with_warm_start(
-        &self,
         original: &Program,
         kernel: &str,
         seeds: Vec<TestCase>,
         fuzz_cfg: &FuzzConfig,
-        sink: &dyn TraceSink,
-        store: &Option<Arc<Store>>,
+        env: &SessionEnv<'_>,
+        store: Option<&Store>,
     ) -> Result<FuzzReport, PipelineError> {
+        let sink = env.sink;
         let Some(store) = store else {
-            return testgen::fuzz_traced(original, kernel, seeds, fuzz_cfg, sink)
+            return testgen::fuzz(original, kernel, seeds, fuzz_cfg, env)
                 .map_err(PipelineError::TestGen);
         };
         let key = heterogen_store::fuzz_campaign_key(
@@ -859,7 +841,8 @@ impl Session {
             inner: sink,
             rounds: Mutex::new(Vec::new()),
         };
-        let report = testgen::fuzz_traced(original, kernel, seeds, fuzz_cfg, &recorder)
+        let recording = Env::new(env.backend).with_sink(&recorder);
+        let report = testgen::fuzz(original, kernel, seeds, fuzz_cfg, &recording)
             .map_err(PipelineError::TestGen)?;
         store.put_corpus(
             &key,
@@ -879,14 +862,19 @@ impl Session {
 
     /// Runs the full pipeline on one [`JobSpec`].
     ///
-    /// Spec-level overrides — backend name, RNG seed, budgets, engine —
-    /// take precedence over the session's configuration; a spec with no
-    /// overrides behaves exactly as the session is configured.
+    /// Spec-level overrides — backend name, RNG seed, budgets — take
+    /// precedence over the session's configuration; a spec with no
+    /// overrides behaves exactly as the session is configured. Every phase
+    /// executes on the backend's [`Toolchain::engine`]: fuzzing, replay of
+    /// an existing suite, the differential reference, and candidate
+    /// simulation.
     ///
     /// # Errors
     ///
-    /// Returns [`PipelineError`] when the spec is invalid, the kernel
-    /// cannot be fuzzed, or the reference execution fails outright.
+    /// Returns [`PipelineError`] when the spec is invalid (including a
+    /// program whose structs contain themselves by value, which has no
+    /// finite layout to execute), the kernel cannot be fuzzed, or the
+    /// reference execution fails outright.
     pub fn run(&self, job: JobSpec) -> Result<PipelineReport, PipelineError> {
         let sink = self.sink.as_ref();
         let JobSpec {
@@ -896,11 +884,13 @@ impl Session {
             backend,
             seed,
             budgets,
-            engine,
             client: _,
             store_dir,
             mined,
         } = job;
+        if let Some(e) = minic::typeck::self_containing_structs(&original).first() {
+            return Err(PipelineError::Spec(e.message().to_string()));
+        }
         let backend: Arc<dyn Toolchain> = match backend {
             None => self.backend.clone(),
             Some(name) => resolve_backend(&name)?,
@@ -911,6 +901,10 @@ impl Session {
             })?)),
             None => self.store.clone(),
         };
+        let env: SessionEnv = Env::new(backend.as_ref())
+            .with_sink(sink)
+            .with_faults(self.faults.as_ref())
+            .with_store(store.clone().map(|s| s as Arc<dyn VerdictStore>));
         let budgets = budgets.unwrap_or(self.config.budgets);
         if sink.enabled() {
             sink.emit(&Event::PhaseEnter {
@@ -925,17 +919,20 @@ impl Session {
         if let Some(seed) = seed {
             fuzz_cfg.rng_seed = seed;
         }
-        if let Some(engine) = engine {
-            fuzz_cfg.engine = engine;
-        }
         let fuzz_cap = budgets.fuzz_execs.filter(|cap| *cap < fuzz_cfg.max_execs);
         if let Some(cap) = fuzz_cap {
             fuzz_cfg.max_execs = cap;
         }
         let (tests, profile, fuzz_report) = match tests {
             TestSource::Fuzz(seeds) => {
-                let fuzz_report =
-                    self.fuzz_with_warm_start(&original, &kernel, seeds, &fuzz_cfg, sink, &store)?;
+                let fuzz_report = Session::fuzz_with_warm_start(
+                    &original,
+                    &kernel,
+                    seeds,
+                    &fuzz_cfg,
+                    &env,
+                    store.as_deref(),
+                )?;
                 (
                     fuzz_report.corpus.clone(),
                     fuzz_report.profile.clone(),
@@ -944,7 +941,7 @@ impl Session {
             }
             TestSource::Existing(tests) => {
                 let mut profile = Profile::new();
-                let prepared = minic_exec::Prepared::new(fuzz_cfg.engine, &original);
+                let prepared = minic_exec::Prepared::new(backend.engine(), &original);
                 for t in &tests {
                     if let Ok(mut m) = prepared.runner(minic_exec::MachineConfig::cpu()) {
                         let _ = m.run_kernel(&kernel, t);
@@ -1003,9 +1000,6 @@ impl Session {
         if let Some(seed) = seed {
             search_cfg.rng_seed = seed;
         }
-        if let Some(engine) = engine {
-            search_cfg.engine = engine;
-        }
         search_cfg.max_evals = match (search_cfg.max_evals, budgets.repair_evals) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -1024,17 +1018,14 @@ impl Session {
                 search_cfg.mined = Arc::new(patterns);
             }
         }
-        let outcome: RepairOutcome = repair::repair_persistent(
+        let outcome: RepairOutcome = repair::repair(
             &original,
             broken,
             &kernel,
             &tests,
             &profile,
             &search_cfg,
-            sink,
-            self.faults.as_ref(),
-            backend.as_ref(),
-            store.clone().map(|s| s as Arc<dyn VerdictStore>),
+            &env,
         )
         .map_err(PipelineError::Repair)?;
         // Every successful repair banks its winning script — whether or not
@@ -1309,7 +1300,7 @@ pub mod wire {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minic_exec::ArgValue;
+    use minic_exec::{ArgValue, ExecEngine};
 
     fn dump_on_failure(report: &PipelineReport) -> bool {
         if !report.success() {
@@ -1519,7 +1510,6 @@ mod tests {
         assert_eq!(spec.backend, None);
         assert_eq!(spec.seed, None);
         assert_eq!(spec.budgets, None);
-        assert_eq!(spec.engine, None);
         assert_eq!(spec.client, ANONYMOUS_CLIENT);
         assert!(!spec.mined);
     }
@@ -1531,21 +1521,18 @@ mod tests {
         let mut cfg = PipelineConfig::quick();
         cfg.fuzz.idle_stop_min = 0.3;
         cfg.fuzz.max_execs = 150;
-        let session = HeteroGen::builder().config(cfg).build();
-        let bytecode = session
-            .run(
-                JobSpec::builder(p.clone(), "kernel")
-                    .engine(ExecEngine::Bytecode)
-                    .build(),
-            )
-            .unwrap();
-        let treewalk = session
-            .run(
-                JobSpec::builder(p, "kernel")
-                    .engine(ExecEngine::TreeWalk)
-                    .build(),
-            )
-            .unwrap();
+        // The backend's engine drives every phase, candidate simulation
+        // included.
+        let run_on = |engine: ExecEngine| {
+            HeteroGen::builder()
+                .config(cfg.clone())
+                .backend(SimBackend::default_profile().with_engine(engine))
+                .build()
+                .run(JobSpec::fuzz(p.clone(), "kernel", vec![]))
+                .unwrap()
+        };
+        let bytecode = run_on(ExecEngine::Bytecode);
+        let treewalk = run_on(ExecEngine::TreeWalk);
         assert_eq!(
             serde_json::to_string(&bytecode).unwrap(),
             serde_json::to_string(&treewalk).unwrap(),

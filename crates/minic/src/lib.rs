@@ -53,7 +53,7 @@ pub use ast::{
 };
 pub use error::{ParseError, TypeError};
 pub use fingerprint::{fingerprint_node_ids, fingerprint_program};
-pub use parser::parse;
+pub use parser::{parse, MAX_NESTING};
 pub use printer::print_program;
 pub use types::{ArraySize, IntWidth, Type};
 

@@ -25,6 +25,14 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
     Parser::new(tokens).parse_program()
 }
 
+/// The deepest syntactic nesting [`parse`] accepts. Each nested statement,
+/// sub-expression (parenthesized operand, argument, index, initializer),
+/// prefix operator, chained assignment and chained conditional counts one
+/// level. Every paper subject stays far below it; deeper input is rejected
+/// with a [`ParseError`] rather than exhausting the stack of the parser or
+/// of any recursive walker downstream.
+pub const MAX_NESTING: usize = 64;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
@@ -35,6 +43,8 @@ struct Parser {
     struct_names: HashSet<String>,
     /// Integer macro constants in scope.
     defines: HashMap<String, i128>,
+    /// Current syntactic nesting (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -46,7 +56,23 @@ impl Parser {
             type_names: HashSet::new(),
             struct_names: HashSet::new(),
             defines: HashMap::new(),
+            depth: 0,
         }
+    }
+
+    /// Runs `f` one nesting level deeper, failing once the depth budget
+    /// ([`MAX_NESTING`]) is spent.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
     }
 
     fn fresh(&mut self) -> NodeId {
@@ -376,7 +402,7 @@ impl Parser {
                         return Err(self.err(format!("unknown hls:: type `{what}`")));
                     }
                     self.expect(TokenKind::Lt)?;
-                    let inner = self.parse_type()?;
+                    let inner = self.nested(Self::parse_type)?;
                     let inner = self.parse_pointer_suffix(inner);
                     self.expect(TokenKind::Gt)?;
                     return Ok(Type::Stream(Box::new(inner)));
@@ -557,6 +583,10 @@ impl Parser {
     }
 
     fn parse_stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Self::parse_stmt_inner)
+    }
+
+    fn parse_stmt_inner(&mut self) -> Result<Stmt, ParseError> {
         let span = self.span();
         match self.peek().clone() {
             TokenKind::PragmaLine(text) => {
@@ -801,7 +831,7 @@ impl Parser {
             let mut elems = Vec::new();
             if !self.eat(&TokenKind::RBrace) {
                 loop {
-                    elems.push(self.parse_initializer()?);
+                    elems.push(self.nested(Self::parse_initializer)?);
                     if !self.eat(&TokenKind::Comma) {
                         break;
                     }
@@ -832,7 +862,7 @@ impl Parser {
     }
 
     fn parse_expr(&mut self) -> Result<Expr, ParseError> {
-        self.parse_assign()
+        self.nested(Self::parse_assign)
     }
 
     fn parse_assign(&mut self) -> Result<Expr, ParseError> {
@@ -854,7 +884,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.bump();
-            let rhs = self.parse_assign()?;
+            let rhs = self.nested(Self::parse_assign)?;
             Ok(self.expr(span, ExprKind::Assign(op, Box::new(lhs), Box::new(rhs))))
         } else {
             Ok(lhs)
@@ -867,7 +897,7 @@ impl Parser {
         if self.eat(&TokenKind::Question) {
             let t = self.parse_expr()?;
             self.expect(TokenKind::Colon)?;
-            let e = self.parse_ternary()?;
+            let e = self.nested(Self::parse_ternary)?;
             Ok(self.expr(
                 span,
                 ExprKind::Ternary(Box::new(cond), Box::new(t), Box::new(e)),
@@ -918,37 +948,37 @@ impl Parser {
         match self.peek().clone() {
             TokenKind::Minus => {
                 self.bump();
-                let e = self.parse_unary()?;
+                let e = self.nested(Self::parse_unary)?;
                 Ok(self.expr(span, ExprKind::Unary(UnOp::Neg, Box::new(e))))
             }
             TokenKind::Bang => {
                 self.bump();
-                let e = self.parse_unary()?;
+                let e = self.nested(Self::parse_unary)?;
                 Ok(self.expr(span, ExprKind::Unary(UnOp::Not, Box::new(e))))
             }
             TokenKind::Tilde => {
                 self.bump();
-                let e = self.parse_unary()?;
+                let e = self.nested(Self::parse_unary)?;
                 Ok(self.expr(span, ExprKind::Unary(UnOp::BitNot, Box::new(e))))
             }
             TokenKind::Star => {
                 self.bump();
-                let e = self.parse_unary()?;
+                let e = self.nested(Self::parse_unary)?;
                 Ok(self.expr(span, ExprKind::Unary(UnOp::Deref, Box::new(e))))
             }
             TokenKind::Amp => {
                 self.bump();
-                let e = self.parse_unary()?;
+                let e = self.nested(Self::parse_unary)?;
                 Ok(self.expr(span, ExprKind::Unary(UnOp::AddrOf, Box::new(e))))
             }
             TokenKind::PlusPlus => {
                 self.bump();
-                let e = self.parse_unary()?;
+                let e = self.nested(Self::parse_unary)?;
                 Ok(self.expr(span, ExprKind::Unary(UnOp::Inc(true), Box::new(e))))
             }
             TokenKind::MinusMinus => {
                 self.bump();
-                let e = self.parse_unary()?;
+                let e = self.nested(Self::parse_unary)?;
                 Ok(self.expr(span, ExprKind::Unary(UnOp::Dec(true), Box::new(e))))
             }
             TokenKind::Keyword(Keyword::Sizeof) => {
@@ -964,7 +994,7 @@ impl Parser {
                 let ty = self.parse_type()?;
                 let ty = self.parse_pointer_suffix(ty);
                 self.expect(TokenKind::RParen)?;
-                let e = self.parse_unary()?;
+                let e = self.nested(Self::parse_unary)?;
                 Ok(self.expr(span, ExprKind::Cast(ty, Box::new(e))))
             }
             _ => self.parse_postfix(),
@@ -1513,6 +1543,53 @@ mod tests {
             parse_pragma("HLS loop_tripcount min=1 max=64").kind,
             PragmaKind::LoopTripcount { min: 1, max: 64 }
         );
+    }
+
+    /// `open` repeated `n` times, then `core`, then `close` repeated `n`
+    /// times.
+    fn nest(open: &str, core: &str, close: &str, n: usize) -> String {
+        format!("{}{core}{}", open.repeat(n), close.repeat(n))
+    }
+
+    fn depth_error(src: &str) -> ParseError {
+        let e = parse(src).expect_err("over the nesting limit");
+        assert!(e.message().contains("nesting deeper than"), "{e}");
+        assert!(e.span().line >= 1, "the error carries a span: {e}");
+        e
+    }
+
+    #[test]
+    fn nesting_limit_is_a_parse_error_not_a_stack_overflow() {
+        // `return` is one level and its expression another, so `n` parens
+        // or prefix minuses reach depth `n + 2`; the function body is not a
+        // statement, so `n` braces reach depth `n - 1`.
+        let parens = |n| format!("int k(int x) {{ return {}; }}", nest("(", "x", ")", n));
+        let negs = |n| format!("int k(int x) {{ return {}; }}", nest("- ", "x", "", n));
+        let blocks = |n| format!("void k() {}", nest("{", "", "}", n));
+        // Exactly at the limit.
+        parse(&parens(MAX_NESTING - 2)).unwrap();
+        parse(&negs(MAX_NESTING - 2)).unwrap();
+        parse(&blocks(MAX_NESTING + 1)).unwrap();
+        // One past it, for each recursive path.
+        depth_error(&parens(MAX_NESTING - 1));
+        depth_error(&negs(MAX_NESTING - 1));
+        depth_error(&blocks(MAX_NESTING + 2));
+        let chain = |link: &str| {
+            format!(
+                "int k(int x) {{ return {}; }}",
+                nest(link, "x", "", MAX_NESTING)
+            )
+        };
+        depth_error(&chain("x = "));
+        depth_error(&chain("x ? x : "));
+        depth_error(&format!(
+            "void k() {{ int a[1] = {}; }}",
+            nest("{", "1", "}", MAX_NESTING)
+        ));
+        // Far past it — the shapes that used to abort the process.
+        depth_error(&parens(10_000));
+        depth_error(&blocks(10_000));
+        depth_error(&negs(100_000));
     }
 
     #[test]

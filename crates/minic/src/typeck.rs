@@ -101,7 +101,76 @@ pub fn check(p: &Program) -> TypeInfo {
             _ => {}
         }
     }
+    cx.info.errors.extend(self_containing_structs(p));
     cx.info
+}
+
+/// Finds every struct or union that contains itself by value — directly or
+/// through other by-value fields, arrays, or typedefs (`struct LNode {
+/// struct LNode next; }`). Such a type has no finite layout; a pointer or a
+/// reference member breaks the cycle. Returns one [`TypeError`] per such
+/// type, in declaration order, naming it.
+///
+/// The walk keeps an explicit stack, so it is safe on any input.
+///
+/// ```
+/// let p = minic::parse("struct L { int v; struct L next; };").unwrap();
+/// let errs = minic::typeck::self_containing_structs(&p);
+/// assert!(errs[0].message().contains("`L`"));
+/// ```
+pub fn self_containing_structs(p: &Program) -> Vec<TypeError> {
+    // The struct a field stores by value, seen through arrays and typedefs
+    // (typedef hops are bounded so a typedef cycle cannot loop).
+    let by_value = |ty: &Type| -> Option<String> {
+        let mut t = ty;
+        let mut hops = 0;
+        loop {
+            match t {
+                Type::Array(inner, _) => t = inner,
+                Type::Named(n) if hops < p.items.len() => {
+                    hops += 1;
+                    t = p.typedef(n)?;
+                }
+                Type::Struct(n) | Type::Union(n) => return Some(n.clone()),
+                _ => return None,
+            }
+        }
+    };
+    let edges = |name: &str| -> Vec<(String, String)> {
+        p.struct_def(name)
+            .map(|s| {
+                s.fields
+                    .iter()
+                    .filter(|f| !f.by_ref)
+                    .filter_map(|f| Some((by_value(&f.ty)?, f.name.clone())))
+                    .collect()
+            })
+            .unwrap_or_default()
+    };
+    let mut errors = Vec::new();
+    for item in &p.items {
+        let Item::Struct(root) = item else { continue };
+        let mut seen: Vec<String> = Vec::new();
+        let mut stack = edges(&root.name);
+        while let Some((name, field)) = stack.pop() {
+            if name == root.name {
+                errors.push(TypeError::new(
+                    format!(
+                        "`{}` contains itself by value (through field `{field}`), \
+                         so it has no finite size; use a pointer",
+                        root.name
+                    ),
+                    crate::token::Span::default(),
+                ));
+                break;
+            }
+            if !seen.contains(&name) {
+                stack.extend(edges(&name));
+                seen.push(name);
+            }
+        }
+    }
+    errors
 }
 
 struct Checker<'a> {
@@ -606,6 +675,20 @@ mod tests {
             parse("long double g;\nvoid f() { long double x = 0.0L; double y = 1.0; }").unwrap();
         let found = long_double_decls(&p);
         assert_eq!(found, vec!["g".to_string(), "x".to_string()]);
+    }
+
+    #[test]
+    fn self_containing_struct_is_a_type_error() {
+        let p = crate::parse(
+            "typedef struct A A; struct B { A a[2]; }; struct A { int v; struct B b; }; \
+             struct Ok { struct Ok *next; };",
+        )
+        .unwrap();
+        let errs = self_containing_structs(&p);
+        assert_eq!(errs.len(), 2, "{errs:?}");
+        assert!(errs[0].message().contains("`B`"), "{}", errs[0]);
+        assert!(errs[1].message().contains("`A`"), "{}", errs[1]);
+        assert!(check(&p).errors.contains(&errs[0]));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! behavior, and compares the simulation latency … between CPU and FPGA."
 
 use heterogen_faults::{FaultInjector, ResilienceStats, RetryPolicy};
-use heterogen_toolchain::{Resilient, SimBackend, Toolchain};
-use heterogen_trace::{Event, NullSink, TraceSink};
+use heterogen_toolchain::{Env, Resilient, Toolchain};
+use heterogen_trace::{Event, TraceSink};
 use minic::Program;
 use minic_exec::{CpuCostModel, ExecEngine, MachineConfig, Outcome, Prepared};
 use testgen::TestCase;
@@ -21,6 +21,14 @@ pub struct DiffReport {
     pub fpga_latency_ms: f64,
 }
 
+impl DiffReport {
+    /// The score of a candidate the backend cannot simulate at all.
+    const UNSIMULATABLE: DiffReport = DiffReport {
+        pass_ratio: 0.0,
+        fpga_latency_ms: f64::INFINITY,
+    };
+}
+
 /// Precomputed CPU reference outcomes for a test suite.
 #[derive(Debug)]
 pub struct DifferentialTester {
@@ -28,53 +36,16 @@ pub struct DifferentialTester {
     reference: Vec<Outcome>,
     cpu_latency_ms: f64,
     threads: usize,
-    engine: ExecEngine,
 }
 
 impl DifferentialTester {
-    /// Runs the original program on every test (capped at `max_tests`) and
-    /// records the reference outcomes, single-threaded.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the original program cannot be executed at all.
-    pub fn new(
-        original: &Program,
-        kernel: &str,
-        tests: &[TestCase],
-        max_tests: usize,
-    ) -> Result<DifferentialTester, String> {
-        DifferentialTester::with_threads(original, kernel, tests, max_tests, 1)
-    }
-
-    /// Like [`DifferentialTester::new`], running the reference executions —
-    /// and later [`DifferentialTester::evaluate`] simulations — on up to
-    /// `threads` workers (`0` = available parallelism). Per-test results
-    /// are merged back in test order, so latency sums accumulate in the
-    /// same order as the sequential loop and the reported numbers are
-    /// bit-identical for every thread count.
-    pub fn with_threads(
-        original: &Program,
-        kernel: &str,
-        tests: &[TestCase],
-        max_tests: usize,
-        threads: usize,
-    ) -> Result<DifferentialTester, String> {
-        DifferentialTester::with_engine(
-            original,
-            kernel,
-            tests,
-            max_tests,
-            threads,
-            ExecEngine::default(),
-        )
-    }
-
-    /// Like [`DifferentialTester::with_threads`], selecting the execution
-    /// engine used for the reference runs and for every default-backend
-    /// candidate simulation. The candidate program is compiled once per
-    /// fingerprint (shared process-wide); both engines produce identical
-    /// reports.
+    /// Runs the original program on `engine` for every test (capped at
+    /// `max_tests`) and records the reference outcomes. The reference runs
+    /// — and later candidate simulations — use up to `threads` workers
+    /// (`0` = available parallelism). Per-test results are merged back in
+    /// test order, so latency sums accumulate in the same order as the
+    /// sequential loop and the reported numbers are bit-identical for every
+    /// thread count and either engine.
     ///
     /// # Errors
     ///
@@ -114,7 +85,6 @@ impl DifferentialTester {
             tests,
             reference,
             threads,
-            engine,
         })
     }
 
@@ -135,136 +105,79 @@ impl DifferentialTester {
         self.cpu_latency_ms
     }
 
-    /// Simulates a candidate on the FPGA side and compares against the
-    /// reference. Tests run on the tester's worker pool; the pass count
-    /// and latency sum are folded in test order, so the report does not
-    /// depend on the thread count.
-    pub fn evaluate(&self, candidate: &Program) -> DiffReport {
-        self.evaluate_traced(candidate, &NullSink)
-    }
-
-    /// Like [`DifferentialTester::evaluate`], additionally emitting one
-    /// [`Event::DiffEvaluated`] on `sink` once the in-order fold finishes.
-    /// The event is emitted from the calling thread after the merge, so the
-    /// stream is identical for every thread count. Generic over the sink so
-    /// the `NullSink` instantiation behind [`DifferentialTester::evaluate`]
-    /// compiles the emission away.
-    pub fn evaluate_traced<S: TraceSink + ?Sized>(
-        &self,
-        candidate: &Program,
-        sink: &S,
-    ) -> DiffReport {
-        self.evaluate_with(
-            &SimBackend::default_profile().with_engine(self.engine),
-            candidate,
-            sink,
-        )
-    }
-
-    /// Like [`DifferentialTester::evaluate_traced`], simulating on an
-    /// arbitrary [`Toolchain`] backend. A backend that cannot simulate the
-    /// candidate at all (or fails a test's invocation) scores that test as
-    /// failing, exactly as the default backend does for an unsimulatable
-    /// design.
+    /// Simulates a candidate on `backend` and compares against the
+    /// reference, then emits one [`Event::DiffEvaluated`] on `sink`. Tests
+    /// run on the tester's worker pool; the pass count and latency sum are
+    /// folded in test order and the event is emitted from the calling
+    /// thread, so neither depends on the thread count. A backend that
+    /// cannot simulate the candidate at all (or fails a test's invocation)
+    /// scores that test as failing.
     pub fn evaluate_with<B, S>(&self, backend: &B, candidate: &Program, sink: &S) -> DiffReport
     where
         B: Toolchain + ?Sized,
         S: TraceSink + ?Sized,
     {
-        let report = self.evaluate_inner(backend, candidate);
-        if sink.enabled() {
-            sink.emit(&Event::DiffEvaluated {
-                tests: self.tests.len() as u64,
-                pass_ratio: report.pass_ratio,
-                fpga_latency_ms: report.fpga_latency_ms,
-            });
-        }
-        report
+        let report = if backend.can_simulate(candidate) {
+            let runs: Vec<(bool, f64)> =
+                parallel::parallel_map(self.threads, &self.tests, |i, t| {
+                    match backend.simulate(candidate, t, i as u64) {
+                        Ok(sim) => (
+                            self.reference[i].behaviour_eq(&sim.result.outcome),
+                            sim.result.estimate.latency_ms,
+                        ),
+                        Err(_) => (false, 0.0),
+                    }
+                });
+            self.fold(runs.into_iter().map(|(ok, ms)| Some((ok, ms))))
+        } else {
+            DiffReport::UNSIMULATABLE
+        };
+        self.emit(sink, report)
     }
 
-    /// Like [`DifferentialTester::evaluate_traced`], but runs every test
-    /// through a fault injector: transient simulator faults (including fuel
-    /// spikes) are retried on the worker under `retry`'s schedule, and a
-    /// test whose faults persist — a permanent fault, or a transient that
-    /// outlives the retry budget — degrades to a failing test instead of
-    /// aborting the evaluation.
+    /// Like [`DifferentialTester::evaluate_with`], simulating on
+    /// `env.backend` through `env.faults`: transient simulator faults
+    /// (including fuel spikes) are retried on the worker under `retry`'s
+    /// schedule, and a test whose faults persist — a permanent fault, or a
+    /// transient that outlives the retry budget — degrades to a failing
+    /// test instead of aborting the evaluation. With a disabled injector
+    /// this is exactly [`DifferentialTester::evaluate_with`].
     ///
     /// Each test's injector key is `mix_key(key, test_index)`, so fault
     /// decisions depend only on the candidate fingerprint and the test's
     /// position, never on scheduling. Workers return their absorbed fault
     /// counts; the calling thread replays them — resilience counters,
-    /// backoff ledger, and trace events — during the in-order merge, so the
-    /// trace stream and the returned [`ResilienceStats`] are identical for
-    /// every thread count. `at_min` timestamps the replayed events with the
-    /// caller's simulated clock; backoff delays are billed to
-    /// [`ResilienceStats::backoff_min`], not to that clock, so a
+    /// backoff ledger, and trace events on `env.sink` — during the in-order
+    /// merge, so the trace stream and the returned [`ResilienceStats`] are
+    /// identical for every thread count. `at_min` timestamps the replayed
+    /// events with the caller's simulated clock; backoff delays are billed
+    /// to [`ResilienceStats::backoff_min`], not to that clock, so a
     /// transient-recovered run keeps the fault-free clock trajectory.
-    pub fn evaluate_resilient<S, I>(
+    pub fn evaluate_in<B, S, I>(
         &self,
+        env: &Env<B, S, I>,
         candidate: &Program,
-        sink: &S,
-        injector: &I,
         retry: &RetryPolicy,
         key: u64,
         at_min: f64,
     ) -> (DiffReport, ResilienceStats)
     where
-        S: TraceSink + ?Sized,
-        I: FaultInjector + ?Sized,
+        B: Toolchain,
+        S: TraceSink,
+        I: FaultInjector,
     {
-        self.evaluate_resilient_with(
-            &SimBackend::default_profile().with_engine(self.engine),
-            candidate,
-            sink,
-            injector,
-            retry,
-            key,
-            at_min,
-        )
-    }
-
-    /// Like [`DifferentialTester::evaluate_resilient`], simulating on an
-    /// arbitrary [`Toolchain`] backend. Workers evaluate through the
-    /// [`Resilient`] middleware (injector consultation + transient retry);
-    /// the calling thread replays the absorbed faults during the in-order
-    /// merge exactly as the default-backend path does.
-    #[allow(clippy::too_many_arguments)]
-    pub fn evaluate_resilient_with<B, S, I>(
-        &self,
-        backend: &B,
-        candidate: &Program,
-        sink: &S,
-        injector: &I,
-        retry: &RetryPolicy,
-        key: u64,
-        at_min: f64,
-    ) -> (DiffReport, ResilienceStats)
-    where
-        B: Toolchain + ?Sized,
-        S: TraceSink + ?Sized,
-        I: FaultInjector + ?Sized,
-    {
-        if !injector.enabled() {
+        let sink = &env.sink;
+        if !env.faults.enabled() {
             return (
-                self.evaluate_with(backend, candidate, sink),
+                self.evaluate_with(&env.backend, candidate, sink),
                 ResilienceStats::default(),
             );
         }
-        if !backend.can_simulate(candidate) {
-            let report = DiffReport {
-                pass_ratio: 0.0,
-                fpga_latency_ms: f64::INFINITY,
-            };
-            if sink.enabled() {
-                sink.emit(&Event::DiffEvaluated {
-                    tests: self.tests.len() as u64,
-                    pass_ratio: report.pass_ratio,
-                    fpga_latency_ms: report.fpga_latency_ms,
-                });
-            }
+        if !env.backend.can_simulate(candidate) {
+            let report = self.emit(sink, DiffReport::UNSIMULATABLE);
             return (report, ResilienceStats::default());
         }
-        let resilient = Resilient::new(backend, injector, *retry);
+        let resilient = Resilient::new(&env.backend, &env.faults, *retry);
 
         // End states a worker can reach: success, transient faults that
         // outlived the retry budget, or a permanent fault.
@@ -291,9 +204,7 @@ impl DifferentialTester {
         });
 
         let mut stats = ResilienceStats::default();
-        let mut passed = 0usize;
-        let mut latency = 0.0;
-        for (i, (result, transients, end)) in runs.iter().enumerate() {
+        for (i, (_, transients, end)) in runs.iter().enumerate() {
             let test_key = heterogen_faults::mix_key(key, i as u64);
             for a in 0..*transients {
                 stats.transient_faults += 1;
@@ -336,50 +247,17 @@ impl DifferentialTester {
                     });
                 }
             }
-            if let Some((ok, ms)) = result {
-                if *ok {
-                    passed += 1;
-                }
-                latency += ms;
-            }
         }
-        let report = DiffReport {
-            pass_ratio: passed as f64 / self.tests.len() as f64,
-            fpga_latency_ms: latency / self.tests.len() as f64,
-        };
-        if sink.enabled() {
-            sink.emit(&Event::DiffEvaluated {
-                tests: self.tests.len() as u64,
-                pass_ratio: report.pass_ratio,
-                fpga_latency_ms: report.fpga_latency_ms,
-            });
-        }
-        (report, stats)
+        let report = self.fold(runs.into_iter().map(|(result, _, _)| result));
+        (self.emit(sink, report), stats)
     }
 
-    fn evaluate_inner<B: Toolchain + ?Sized>(
-        &self,
-        backend: &B,
-        candidate: &Program,
-    ) -> DiffReport {
-        if !backend.can_simulate(candidate) {
-            return DiffReport {
-                pass_ratio: 0.0,
-                fpga_latency_ms: f64::INFINITY,
-            };
-        }
-        let runs: Vec<(bool, f64)> = parallel::parallel_map(self.threads, &self.tests, |i, t| {
-            match backend.simulate(candidate, t, i as u64) {
-                Ok(sim) => (
-                    self.reference[i].behaviour_eq(&sim.result.outcome),
-                    sim.result.estimate.latency_ms,
-                ),
-                Err(_) => (false, 0.0),
-            }
-        });
+    /// Folds per-test `(behaviour_eq, latency_ms)` results in test order; a
+    /// `None` (a faulted test) counts as failing with no latency.
+    fn fold(&self, runs: impl Iterator<Item = Option<(bool, f64)>>) -> DiffReport {
         let mut passed = 0usize;
         let mut latency = 0.0;
-        for (ok, ms) in runs {
+        for (ok, ms) in runs.flatten() {
             if ok {
                 passed += 1;
             }
@@ -390,19 +268,43 @@ impl DifferentialTester {
             fpga_latency_ms: latency / self.tests.len() as f64,
         }
     }
+
+    /// Emits the [`Event::DiffEvaluated`] every evaluation of `report`
+    /// yields — live or replayed from a store — and passes it through.
+    pub(crate) fn emit<S: TraceSink + ?Sized>(&self, sink: &S, report: DiffReport) -> DiffReport {
+        if sink.enabled() {
+            sink.emit(&Event::DiffEvaluated {
+                tests: self.tests.len() as u64,
+                pass_ratio: report.pass_ratio,
+                fpga_latency_ms: report.fpga_latency_ms,
+            });
+        }
+        report
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use heterogen_toolchain::SimBackend;
+    use heterogen_trace::NullSink;
     use minic_exec::ArgValue;
+
+    fn tester(p: &Program, tests: &[TestCase], max_tests: usize) -> DifferentialTester {
+        DifferentialTester::with_engine(p, "kernel", tests, max_tests, 1, ExecEngine::default())
+            .unwrap()
+    }
+
+    fn evaluate(d: &DifferentialTester, candidate: &Program) -> DiffReport {
+        d.evaluate_with(&SimBackend::default_profile(), candidate, &NullSink)
+    }
 
     #[test]
     fn identical_program_passes_all() {
         let p = minic::parse("int kernel(int x) { return x * 3 + 1; }").unwrap();
         let tests: Vec<TestCase> = (0..5).map(|i| vec![ArgValue::Int(i)]).collect();
-        let d = DifferentialTester::new(&p, "kernel", &tests, 100).unwrap();
-        let r = d.evaluate(&p);
+        let d = tester(&p, &tests, 100);
+        let r = evaluate(&d, &p);
         assert_eq!(r.pass_ratio, 1.0);
         assert!(d.cpu_latency_ms() > 0.0);
     }
@@ -415,8 +317,8 @@ mod tests {
             vec![ArgValue::Int(5)],   // fits 7 bits → identical
             vec![ArgValue::Int(500)], // wraps → diverges
         ];
-        let d = DifferentialTester::new(&orig, "kernel", &tests, 100).unwrap();
-        let r = d.evaluate(&narrowed);
+        let d = tester(&orig, &tests, 100);
+        let r = evaluate(&d, &narrowed);
         assert_eq!(r.pass_ratio, 0.5);
     }
 
@@ -424,7 +326,7 @@ mod tests {
     fn caps_test_count() {
         let p = minic::parse("int kernel(int x) { return x; }").unwrap();
         let tests: Vec<TestCase> = (0..100).map(|i| vec![ArgValue::Int(i)]).collect();
-        let d = DifferentialTester::new(&p, "kernel", &tests, 10).unwrap();
+        let d = tester(&p, &tests, 10);
         assert_eq!(d.test_count(), 10);
     }
 
@@ -433,7 +335,7 @@ mod tests {
         let p = minic::parse("int kernel(int x) { return x; }").unwrap();
         let broken = minic::parse("void helper(int x) { }").unwrap(); // no top
         let tests: Vec<TestCase> = vec![vec![ArgValue::Int(1)]];
-        let d = DifferentialTester::new(&p, "kernel", &tests, 10).unwrap();
-        assert_eq!(d.evaluate(&broken).pass_ratio, 0.0);
+        let d = tester(&p, &tests, 10);
+        assert_eq!(evaluate(&d, &broken).pass_ratio, 0.0);
     }
 }

@@ -36,14 +36,14 @@ use crate::script::{EditKind, EditScript, FixPattern, ScriptEdit};
 use crate::templates::{RepairEdit, ResizeTarget};
 use heterogen_faults::{FaultInjector, NoFaults, ResilienceStats, RetryPolicy};
 use heterogen_toolchain::{
-    diff_tests_fingerprint, DiffKey, DiffVerdict, EvalCache, EvalResult, Memoized, Persisted,
-    Resilient, SimBackend, Toolchain, Traced, VerdictStore,
+    diff_tests_fingerprint, DiffKey, DiffVerdict, Env, EvalCache, EvalResult, Memoized, Persisted,
+    Resilient, Toolchain, Traced,
 };
 use heterogen_trace::{Event, NullSink, TraceSink, Verdict};
 use hls_sim::{CompileCostModel, HlsDiagnostic, SimClock, ToolchainError};
 use minic::ast::PragmaKind;
 use minic::Program;
-use minic_exec::{ExecEngine, Profile};
+use minic_exec::Profile;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -93,10 +93,6 @@ pub struct SearchConfig {
     /// `None` = unbounded. Exhausting the cap stops the search with
     /// [`SearchStop::EvalBudgetExhausted`] and the best candidate so far.
     pub max_evals: Option<u64>,
-    /// Execution engine used for every candidate run (CPU reference and
-    /// FPGA simulation alike). Both engines produce identical verdicts,
-    /// stats, and traces; only wall-clock time changes.
-    pub engine: ExecEngine,
     /// Mined fix patterns tried as a candidate tier *ahead of* the static
     /// precedence graph: edits predicted by a pattern (given the candidate's
     /// applied-kind suffix) sort before the dependence ranking. Empty (the
@@ -118,7 +114,6 @@ impl Default for SearchConfig {
             threads: 0,
             retry: RetryPolicy::default(),
             max_evals: None,
-            engine: ExecEngine::default(),
             mined: Arc::new(Vec::new()),
         }
     }
@@ -227,12 +222,6 @@ impl SearchConfigBuilder {
     /// Sets the cap on toolchain evaluations (`None` = unbounded).
     pub fn with_max_evals(mut self, v: Option<u64>) -> Self {
         self.cfg.max_evals = v;
-        self
-    }
-
-    /// Sets the execution engine for candidate runs.
-    pub fn with_engine(mut self, v: ExecEngine) -> Self {
-        self.cfg.engine = v;
         self
     }
 
@@ -388,62 +377,39 @@ enum Planned {
     },
 }
 
-/// Runs the repair search.
+/// Runs the repair search in `env`.
 ///
 /// `original` is the reference for differential testing; `broken` is the
 /// initial HLS version (estimated types); `kernel` the kernel function
 /// name; `tests` the generated suite; `profile` the execution profile from
 /// test generation.
 ///
-/// # Errors
+/// Every style check, full compile, and co-simulation goes through
+/// `env.backend`, wrapped in the middleware stack
+/// `Persisted(Memoized(Resilient(Traced(backend))))`: the durable
+/// `env.store` (if any), memoization by structural fingerprint, fault
+/// consultation of `env.faults` + transient retry, and invocation tracing.
+/// The reference runs and candidate simulations use the backend's
+/// [`Toolchain::engine`]; billing constants come from
+/// [`Toolchain::cost_model`], so a slower backend consumes the simulated
+/// budget faster. The search clock, stats, and merge accounting are
+/// independent of how an evaluation was satisfied, so a warm store changes
+/// wall-clock time only.
 ///
-/// Fails when the reference itself cannot be executed.
-pub fn repair(
-    original: &Program,
-    broken: Program,
-    kernel: &str,
-    tests: &[TestCase],
-    profile: &Profile,
-    cfg: &SearchConfig,
-) -> Result<RepairOutcome, String> {
-    repair_traced(original, broken, kernel, tests, profile, cfg, &NullSink)
-}
-
-/// Like [`repair`], additionally reporting structured [`Event`]s on `sink`.
+/// # Tracing
 ///
-/// Events are emitted exclusively from the merge phase (the caller thread's
-/// sequential accounting) — never from worker threads — so for a fixed
-/// input the stream is byte-identical at every `cfg.threads` setting. Every
-/// attempted edit yields exactly one [`Event::CandidateEvaluated`] in merge
-/// order; billed toolchain invocations additionally yield
+/// Events go to `env.sink`, exclusively from the merge phase (the caller
+/// thread's sequential accounting) — never from worker threads, whose
+/// [`Traced`] layer is instantiated with [`NullSink`] — so for a fixed
+/// input the stream is byte-identical at every `cfg.threads` setting.
+/// Every attempted edit yields exactly one [`Event::CandidateEvaluated`] in
+/// merge order; billed toolchain invocations additionally yield
 /// [`Event::FullCompile`] / [`Event::StyleReject`], and edits joining a
-/// live search path yield [`Event::EditApplied`].
+/// live search path yield [`Event::EditApplied`]. The sink is a generic
+/// parameter (not `&dyn`) so a `NullSink` environment compiles every
+/// emission site away.
 ///
-/// The sink is a generic parameter (not `&dyn`) so that [`repair`]'s
-/// `NullSink` instantiation compiles every emission site away; dynamic
-/// callers pass `S = dyn TraceSink`.
-///
-/// # Errors
-///
-/// Fails when the reference itself cannot be executed.
-pub fn repair_traced<S: TraceSink + ?Sized>(
-    original: &Program,
-    broken: Program,
-    kernel: &str,
-    tests: &[TestCase],
-    profile: &Profile,
-    cfg: &SearchConfig,
-    sink: &S,
-) -> Result<RepairOutcome, String> {
-    repair_resilient(
-        original, broken, kernel, tests, profile, cfg, sink, &NoFaults,
-    )
-}
-
-/// Like [`repair_traced`], additionally threading every toolchain invocation
-/// through a [`FaultInjector`].
-///
-/// Resilience semantics:
+/// # Resilience
 ///
 /// * a **poisoned** (panicking) candidate is isolated with `catch_unwind`,
 ///   billed exactly what its fault-free evaluation would have cost, recorded
@@ -464,109 +430,30 @@ pub fn repair_traced<S: TraceSink + ?Sized>(
 /// # Errors
 ///
 /// Fails when the reference itself cannot be executed.
-#[allow(clippy::too_many_arguments)]
-pub fn repair_resilient<S, I>(
+pub fn repair<B, S, I>(
     original: &Program,
     broken: Program,
     kernel: &str,
     tests: &[TestCase],
     profile: &Profile,
     cfg: &SearchConfig,
-    sink: &S,
-    injector: &I,
+    env: &Env<B, S, I>,
 ) -> Result<RepairOutcome, String>
 where
-    S: TraceSink + ?Sized,
-    I: FaultInjector + ?Sized,
+    B: Toolchain,
+    S: TraceSink,
+    I: FaultInjector,
 {
-    repair_with_backend(
-        original,
-        broken,
-        kernel,
-        tests,
-        profile,
+    let backend = &env.backend;
+    let sink = &env.sink;
+    let mut ledger = Ledger {
+        clock: SimClock::with_budget(cfg.budget_min),
+        stats: SearchStats::default(),
+        resilience: ResilienceStats::default(),
+        costs: backend.cost_model(),
         cfg,
         sink,
-        injector,
-        &SimBackend::default_profile().with_engine(cfg.engine),
-    )
-}
-
-/// Like [`repair_resilient`], generic over the [`Toolchain`] backend the
-/// search drives.
-///
-/// Every style check, full compile, and co-simulation goes through
-/// `backend`, wrapped in the middleware stack
-/// `Memoized(Resilient(Traced(backend)))`: memoization by structural
-/// fingerprint, fault consultation + transient retry, and invocation
-/// tracing. The [`Traced`] layer is instantiated with [`NullSink`] here —
-/// workers must never emit; all events still come from the merge phase's
-/// sequential accounting — so the stack's observable behaviour is
-/// byte-identical to the pre-backend direct-call pipeline when `backend` is
-/// [`SimBackend::default_profile`]. Billing constants come from
-/// [`Toolchain::cost_model`], so a slower backend consumes the simulated
-/// budget faster.
-///
-/// # Errors
-///
-/// Fails when the reference itself cannot be executed.
-#[allow(clippy::too_many_arguments)]
-pub fn repair_with_backend<B, S, I>(
-    original: &Program,
-    broken: Program,
-    kernel: &str,
-    tests: &[TestCase],
-    profile: &Profile,
-    cfg: &SearchConfig,
-    sink: &S,
-    injector: &I,
-    backend: &B,
-) -> Result<RepairOutcome, String>
-where
-    B: Toolchain + ?Sized,
-    S: TraceSink + ?Sized,
-    I: FaultInjector + ?Sized,
-{
-    repair_persistent(
-        original, broken, kernel, tests, profile, cfg, sink, injector, backend, None,
-    )
-}
-
-/// Like [`repair_with_backend`], additionally checking (and populating) a
-/// durable [`VerdictStore`] before the in-memory memo layer.
-///
-/// The stack becomes `Persisted(Memoized(Resilient(Traced(backend))))`.
-/// Because the merge phase bills clock cost and counts compiles
-/// independently of how `evaluate` was satisfied, a warm store changes
-/// wall-clock time only — the search trajectory, stats, report, and trace
-/// bytes are identical to a cold run. With `store` `None` this is exactly
-/// [`repair_with_backend`].
-///
-/// # Errors
-///
-/// Fails when the reference itself cannot be executed.
-#[allow(clippy::too_many_arguments)]
-pub fn repair_persistent<B, S, I>(
-    original: &Program,
-    broken: Program,
-    kernel: &str,
-    tests: &[TestCase],
-    profile: &Profile,
-    cfg: &SearchConfig,
-    sink: &S,
-    injector: &I,
-    backend: &B,
-    store: Option<Arc<dyn VerdictStore>>,
-) -> Result<RepairOutcome, String>
-where
-    B: Toolchain + ?Sized,
-    S: TraceSink + ?Sized,
-    I: FaultInjector + ?Sized,
-{
-    let costs = backend.cost_model();
-    let mut clock = SimClock::with_budget(cfg.budget_min);
-    let mut stats = SearchStats::default();
-    let mut resilience = ResilienceStats::default();
+    };
     let mut stop: Option<SearchStop> = None;
     let mut rng = SmallRng::seed_from_u64(cfg.rng_seed);
 
@@ -576,21 +463,30 @@ where
         tests,
         cfg.max_diff_tests,
         cfg.threads,
-        cfg.engine,
+        backend.engine(),
     )?;
-    clock.advance(costs.cpu_tests(tester.test_count()));
+    ledger
+        .clock
+        .advance(ledger.costs.cpu_tests(tester.test_count()));
 
     // Key template for persisted differential verdicts: everything but the
     // candidate fingerprint is fixed for the whole search. Only consulted
     // on the fault-free path — with an enabled injector the evaluation's
     // observables depend on the fault plan, so it always runs live.
-    let diff_key = store.as_ref().map(|_| DiffKey {
-        program_fp: 0,
-        reference_fp: minic::fingerprint_program(original),
-        kernel: kernel.to_string(),
-        tests_fp: diff_tests_fingerprint(tester.tests()),
-        backend: backend.info().name,
-    });
+    let diff_store = env
+        .store
+        .as_ref()
+        .filter(|_| !env.faults.enabled())
+        .map(|st| {
+            let key = DiffKey {
+                program_fp: 0,
+                reference_fp: minic::fingerprint_program(original),
+                kernel: kernel.to_string(),
+                tests_fp: diff_tests_fingerprint(tester.tests()),
+                backend: backend.info().name,
+            };
+            (st, key)
+        });
 
     // The middleware stack the whole search evaluates through: memoization
     // over fault injection + retry over (unsinked) tracing over the backend.
@@ -601,23 +497,23 @@ where
     let stack = Persisted::new(
         Memoized::sharing(
             cache.clone(),
-            Resilient::new(Traced::new(backend, NullSink), injector, cfg.retry),
+            Resilient::new(Traced::new(backend, NullSink), &env.faults, cfg.retry),
         ),
-        store.clone(),
+        env.store.clone(),
     );
     let initial = Persisted::new(
         Memoized::sharing(
             cache,
             Resilient::new(Traced::new(backend, NullSink), NoFaults, cfg.retry),
         ),
-        store.clone(),
+        env.store.clone(),
     );
 
     // Compile the initial version (style checker bypassed: the initial
     // candidate always gets a full diagnosis, as a real flow would).
-    let cost0 = costs.full_compile(&broken);
-    clock.advance(cost0);
-    stats.full_compiles += 1;
+    let cost0 = ledger.costs.full_compile(&broken);
+    ledger.clock.advance(cost0);
+    ledger.stats.full_compiles += 1;
     let fp0 = minic::fingerprint_program(&broken);
     // The injector is disabled for the initial compile, so the only way
     // this fails is the backend itself being revoked (e.g. a server drain
@@ -627,8 +523,8 @@ where
     let eval0 = match initial.evaluate(&broken, fp0, false) {
         Ok(eval) => eval,
         Err(e) => {
-            resilience.permanent_faults += 1;
-            stats.elapsed_min = clock.elapsed_min();
+            ledger.resilience.permanent_faults += 1;
+            ledger.stats.elapsed_min = ledger.clock.elapsed_min();
             return Ok(RepairOutcome {
                 program: broken,
                 success: false,
@@ -638,9 +534,9 @@ where
                 improved: false,
                 applied: Vec::new(),
                 script: EditScript::new(),
-                stats,
+                stats: ledger.stats,
                 stop: SearchStop::PermanentFault(e.to_string()),
-                resilience,
+                resilience: ledger.resilience,
             });
         }
     };
@@ -649,7 +545,7 @@ where
             fingerprint: fp0,
             loc: eval0.loc as u64,
             cost_min: cost0,
-            at_min: clock.elapsed_min(),
+            at_min: ledger.clock.elapsed_min(),
         });
     }
     let diags0 = eval0.diags.expect("full compile always diagnoses");
@@ -666,9 +562,9 @@ where
     let mut seen: HashSet<u64> = HashSet::new();
     let mut best: Option<Candidate> = None;
 
-    'search: while !clock.expired() {
+    'search: while !ledger.clock.expired() {
         if let Some(cap) = cfg.max_evals {
-            if stats.full_compiles + stats.simulations >= cap {
+            if ledger.stats.full_compiles + ledger.stats.simulations >= cap {
                 stop = Some(SearchStop::EvalBudgetExhausted);
                 break;
             }
@@ -687,51 +583,41 @@ where
 
         // Error-free candidates are differentially tested.
         if cand.diags.is_empty() && cand.pass_ratio.is_none() {
-            clock.advance(costs.simulate(tester.test_count()));
-            stats.simulations += 1;
+            ledger
+                .clock
+                .advance(ledger.costs.simulate(tester.test_count()));
+            ledger.stats.simulations += 1;
             // A fault-free differential evaluation has exactly two
             // observables — the report's pair of floats and one
             // `DiffEvaluated` event derived from them — so a store hit
             // replays it bit-for-bit. The clock cost and simulation count
             // above are billed either way, keeping the trajectory
             // hit-independent.
-            let dkey = match (&diff_key, injector.enabled()) {
-                (Some(template), false) => Some(DiffKey {
+            let dkey = diff_store.as_ref().map(|(st, template)| {
+                let key = DiffKey {
                     program_fp: cand.fp,
                     ..template.clone()
-                }),
-                _ => None,
-            };
-            let hit = match (&dkey, &store) {
-                (Some(k), Some(st)) => st.get_diff(k),
-                _ => None,
-            };
-            let (report, sim_faults) = match hit {
-                Some(v) => {
-                    let report = DiffReport {
+                };
+                (*st, key)
+            });
+            let hit = dkey.as_ref().and_then(|(st, k)| st.get_diff(k));
+            let report = match hit {
+                Some(v) => tester.emit(
+                    sink,
+                    DiffReport {
                         pass_ratio: v.pass_ratio,
                         fpga_latency_ms: v.fpga_latency_ms,
-                    };
-                    if sink.enabled() {
-                        sink.emit(&Event::DiffEvaluated {
-                            tests: tester.test_count() as u64,
-                            pass_ratio: report.pass_ratio,
-                            fpga_latency_ms: report.fpga_latency_ms,
-                        });
-                    }
-                    (report, ResilienceStats::default())
-                }
+                    },
+                ),
                 None => {
-                    let (report, sim_faults) = tester.evaluate_resilient_with(
-                        backend,
+                    let (report, sim_faults) = tester.evaluate_in(
+                        env,
                         &cand.program,
-                        sink,
-                        injector,
                         &cfg.retry,
                         cand.fp,
-                        clock.elapsed_min(),
+                        ledger.clock.elapsed_min(),
                     );
-                    if let (Some(k), Some(st)) = (&dkey, &store) {
+                    if let Some((st, k)) = &dkey {
                         st.put_diff(
                             k,
                             &DiffVerdict {
@@ -740,16 +626,16 @@ where
                             },
                         );
                     }
-                    (report, sim_faults)
+                    ledger.resilience.absorb(&sim_faults);
+                    report
                 }
             };
-            resilience.absorb(&sim_faults);
             cand.pass_ratio = Some(report.pass_ratio);
             cand.latency = Some(report.fpga_latency_ms);
             if report.pass_ratio == 1.0 {
-                if stats.first_success_min.is_none() {
-                    stats.first_success_min = Some(clock.elapsed_min());
-                    stats.first_success_attempts = Some(stats.attempts);
+                if ledger.stats.first_success_min.is_none() {
+                    ledger.stats.first_success_min = Some(ledger.clock.elapsed_min());
+                    ledger.stats.first_success_attempts = Some(ledger.stats.attempts);
                 }
                 let better = match &best {
                     Some(b) => report.fpga_latency_ms < b.latency.unwrap_or(f64::MAX),
@@ -843,69 +729,35 @@ where
             let mut base_prog = cand.program.clone();
             let mut base_applied = cand.applied.clone();
             for edit in edits {
-                if clock.expired() {
+                if ledger.clock.expired() {
                     break;
                 }
-                stats.attempts += 1;
+                ledger.stats.attempts += 1;
                 let kind = edit.kind();
                 let Some(child_prog) = edit.apply(&base_prog) else {
-                    stats.inapplicable += 1;
-                    emit_candidate(sink, kind, 0, Verdict::Inapplicable, 0.0, &clock);
+                    ledger.stats.inapplicable += 1;
+                    ledger.candidate(kind, 0, Verdict::Inapplicable, 0.0);
                     continue;
                 };
                 let fp = minic::fingerprint_program(&child_prog);
                 if !seen.insert(fp) {
-                    emit_candidate(sink, kind, fp, Verdict::Duplicate, 0.0, &clock);
+                    ledger.candidate(kind, fp, Verdict::Duplicate, 0.0);
                     continue;
                 }
                 let script_edit = edit.script_edit();
                 let child_prog = Arc::new(child_prog);
-                let eval = match parallel::isolate(|| {
-                    stack.evaluate(&child_prog, fp, cfg.use_style_checker)
-                }) {
-                    Err(_panic) => {
-                        bill_crashed(
-                            &child_prog,
-                            fp,
-                            kind,
-                            cfg,
-                            &costs,
-                            &mut clock,
-                            &mut stats,
-                            &mut resilience,
-                            sink,
-                        );
-                        continue;
-                    }
-                    Ok(Err(e)) => {
-                        resilience.permanent_faults += 1;
-                        if sink.enabled() {
-                            sink.emit(&Event::FaultInjected {
-                                site: e.site().to_string(),
-                                fault: "permanent".to_string(),
-                                fingerprint: fp,
-                                attempt: 0,
-                                at_min: clock.elapsed_min(),
-                            });
-                        }
-                        stop = Some(SearchStop::PermanentFault(e.to_string()));
+                let isolated =
+                    parallel::isolate(|| stack.evaluate(&child_prog, fp, cfg.use_style_checker));
+                let eval = match ledger.settle(isolated, &child_prog, fp, kind) {
+                    Ok(Some(eval)) => eval,
+                    Ok(None) => continue,
+                    Err(s) => {
+                        stop = Some(s);
                         break 'search;
                     }
-                    Ok(Ok(eval)) => eval,
                 };
-                let Some(child_diags) = merge_admission(
-                    &child_prog,
-                    fp,
-                    kind,
-                    &eval,
-                    &cand.diags,
-                    cfg,
-                    &costs,
-                    &mut clock,
-                    &mut stats,
-                    &mut resilience,
-                    sink,
-                ) else {
+                let Some(child_diags) = ledger.admit(&child_prog, fp, kind, &eval, &cand.diags)
+                else {
                     continue;
                 };
                 let mut applied = base_applied.clone();
@@ -956,7 +808,6 @@ where
             // Phase 2 — evaluate fresh children concurrently, each behind
             // its own panic boundary so one poisoned candidate cannot take
             // the batch (or the pool) down with it.
-            type Isolated = Result<Result<EvalResult, ToolchainError>, String>;
             let evals: Vec<Option<Isolated>> =
                 parallel::parallel_map(cfg.threads, &planned, |_, p| match p {
                     Planned::Fresh {
@@ -973,24 +824,17 @@ where
             // Children evaluated past the expiry point are discarded
             // (speculation wasted is bounded by one batch).
             for (plan, eval) in planned.into_iter().zip(evals) {
-                if clock.expired() {
+                if ledger.clock.expired() {
                     break;
                 }
-                stats.attempts += 1;
+                ledger.stats.attempts += 1;
                 match plan {
                     Planned::Inapplicable { kind } => {
-                        stats.inapplicable += 1;
-                        emit_candidate(sink, kind.as_str(), 0, Verdict::Inapplicable, 0.0, &clock);
+                        ledger.stats.inapplicable += 1;
+                        ledger.candidate(kind.as_str(), 0, Verdict::Inapplicable, 0.0);
                     }
                     Planned::Duplicate { kind, fingerprint } => {
-                        emit_candidate(
-                            sink,
-                            kind.as_str(),
-                            fingerprint,
-                            Verdict::Duplicate,
-                            0.0,
-                            &clock,
-                        );
+                        ledger.candidate(kind.as_str(), fingerprint, Verdict::Duplicate, 0.0);
                     }
                     Planned::Fresh {
                         program,
@@ -999,50 +843,18 @@ where
                     } => {
                         seen.insert(fingerprint);
                         let kind = edit.kind.as_str();
-                        let eval = match eval.expect("fresh children are evaluated in phase 2") {
-                            Err(_panic) => {
-                                bill_crashed(
-                                    &program,
-                                    fingerprint,
-                                    kind,
-                                    cfg,
-                                    &costs,
-                                    &mut clock,
-                                    &mut stats,
-                                    &mut resilience,
-                                    sink,
-                                );
-                                continue;
-                            }
-                            Ok(Err(e)) => {
-                                resilience.permanent_faults += 1;
-                                if sink.enabled() {
-                                    sink.emit(&Event::FaultInjected {
-                                        site: e.site().to_string(),
-                                        fault: "permanent".to_string(),
-                                        fingerprint,
-                                        attempt: 0,
-                                        at_min: clock.elapsed_min(),
-                                    });
-                                }
-                                stop = Some(SearchStop::PermanentFault(e.to_string()));
+                        let isolated = eval.expect("fresh children are evaluated in phase 2");
+                        let eval = match ledger.settle(isolated, &program, fingerprint, kind) {
+                            Ok(Some(eval)) => eval,
+                            Ok(None) => continue,
+                            Err(s) => {
+                                stop = Some(s);
                                 break 'search;
                             }
-                            Ok(Ok(eval)) => eval,
                         };
-                        let Some(child_diags) = merge_admission(
-                            &program,
-                            fingerprint,
-                            kind,
-                            &eval,
-                            &cand.diags,
-                            cfg,
-                            &costs,
-                            &mut clock,
-                            &mut stats,
-                            &mut resilience,
-                            sink,
-                        ) else {
+                        let Some(child_diags) =
+                            ledger.admit(&program, fingerprint, kind, &eval, &cand.diags)
+                        else {
                             continue;
                         };
                         let mut applied = cand.applied.clone();
@@ -1066,7 +878,9 @@ where
         }
     }
 
-    stats.elapsed_min = clock.elapsed_min();
+    let mut stats = ledger.stats;
+    let resilience = ledger.resilience;
+    stats.elapsed_min = ledger.clock.elapsed_min();
     // Falling out of the `while` condition means the simulated budget ran
     // dry; every other exit recorded its reason at the break site.
     let stop = stop.unwrap_or(SearchStop::BudgetExpired);
@@ -1177,206 +991,187 @@ fn trace_edits(script: &EditScript) -> Vec<heterogen_trace::TraceEdit> {
         .collect()
 }
 
-/// Merge-phase admission of one evaluated candidate: bills the style check
-/// (rejecting if the enabled checker flagged it), replays absorbed
-/// transients, bills the full compile, and drops regressions — the exact
-/// sequential accounting both the chain loop and the sibling merge share,
-/// so their [`SearchStats`] counters cannot drift apart. Returns the
-/// admitted child's diagnostics, or `None` when the candidate was
-/// style-rejected or regressed (both already billed and emitted).
-#[allow(clippy::too_many_arguments)]
-fn merge_admission<S: TraceSink + ?Sized>(
-    program: &Program,
-    fingerprint: u64,
-    kind: &'static str,
-    eval: &EvalResult,
-    parent_diags: &[HlsDiagnostic],
-    cfg: &SearchConfig,
-    costs: &CompileCostModel,
-    clock: &mut SimClock,
-    stats: &mut SearchStats,
-    resilience: &mut ResilienceStats,
-    sink: &S,
-) -> Option<Arc<Vec<HlsDiagnostic>>> {
-    let mut attempt_cost = 0.0;
-    if cfg.use_style_checker {
-        let c = costs.style_check(program);
-        clock.advance(c);
-        attempt_cost += c;
-        stats.style_checks += 1;
-        if !eval.style_clean {
-            stats.style_rejects += 1;
-            if sink.enabled() {
-                sink.emit(&Event::StyleReject {
-                    fingerprint,
-                    at_min: clock.elapsed_min(),
-                });
+/// One candidate evaluation behind its panic boundary: `Err` carries the
+/// panic message of a poisoned candidate.
+type Isolated = Result<Result<EvalResult, ToolchainError>, String>;
+
+/// The merge phase's sequential accounting — simulated clock, search
+/// counters, resilience ledger — together with the constants that bill it
+/// and the sink it reports to. The chain loop and the sibling merge both
+/// settle candidates through it, so their counters cannot drift apart.
+struct Ledger<'a, S> {
+    clock: SimClock,
+    stats: SearchStats,
+    resilience: ResilienceStats,
+    costs: CompileCostModel,
+    cfg: &'a SearchConfig,
+    sink: &'a S,
+}
+
+impl<S: TraceSink> Ledger<'_, S> {
+    /// Settles one isolated evaluation: a crashed (poisoned) candidate is
+    /// billed and dropped (`Ok(None)`); a permanent fault is recorded and
+    /// returned as the stop reason.
+    fn settle(
+        &mut self,
+        isolated: Isolated,
+        program: &Program,
+        fingerprint: u64,
+        kind: &str,
+    ) -> Result<Option<EvalResult>, SearchStop> {
+        match isolated {
+            Ok(Ok(eval)) => Ok(Some(eval)),
+            Err(_panic) => {
+                self.bill_crashed(program, fingerprint, kind);
+                Ok(None)
             }
-            emit_candidate(
-                sink,
-                kind,
+            Ok(Err(e)) => {
+                self.resilience.permanent_faults += 1;
+                if self.sink.enabled() {
+                    self.sink.emit(&Event::FaultInjected {
+                        site: e.site().to_string(),
+                        fault: "permanent".to_string(),
+                        fingerprint,
+                        attempt: 0,
+                        at_min: self.clock.elapsed_min(),
+                    });
+                }
+                Err(SearchStop::PermanentFault(e.to_string()))
+            }
+        }
+    }
+
+    /// Merge-phase admission of one evaluated candidate: bills the style
+    /// check (rejecting if the enabled checker flagged it), replays absorbed
+    /// transients, bills the full compile, and drops regressions. Returns
+    /// the admitted child's diagnostics, or `None` when the candidate was
+    /// style-rejected or regressed (both already billed and emitted).
+    fn admit(
+        &mut self,
+        program: &Program,
+        fingerprint: u64,
+        kind: &'static str,
+        eval: &EvalResult,
+        parent_diags: &[HlsDiagnostic],
+    ) -> Option<Arc<Vec<HlsDiagnostic>>> {
+        let mut attempt_cost = 0.0;
+        if self.cfg.use_style_checker {
+            let c = self.costs.style_check(program);
+            self.clock.advance(c);
+            attempt_cost += c;
+            self.stats.style_checks += 1;
+            if !eval.style_clean {
+                self.stats.style_rejects += 1;
+                if self.sink.enabled() {
+                    self.sink.emit(&Event::StyleReject {
+                        fingerprint,
+                        at_min: self.clock.elapsed_min(),
+                    });
+                }
+                self.candidate(kind, fingerprint, Verdict::StyleRejected, attempt_cost);
+                return None;
+            }
+        }
+        self.replay_transients("hls_check", fingerprint, eval.transients);
+        let compile_cost = self.costs.full_compile_loc(eval.loc);
+        self.clock.advance(compile_cost);
+        attempt_cost += compile_cost;
+        self.stats.full_compiles += 1;
+        if self.sink.enabled() {
+            self.sink.emit(&Event::FullCompile {
                 fingerprint,
-                Verdict::StyleRejected,
-                attempt_cost,
-                clock,
-            );
+                loc: eval.loc as u64,
+                cost_min: compile_cost,
+                at_min: self.clock.elapsed_min(),
+            });
+        }
+        let child_diags = eval
+            .diags
+            .clone()
+            .expect("style-clean candidates are compiled");
+        // Regressions (strictly more errors) are dropped.
+        if child_diags.len() > parent_diags.len() && !parent_diags.is_empty() {
+            self.candidate(kind, fingerprint, Verdict::Regressed, attempt_cost);
             return None;
         }
-    }
-    replay_transients(
-        sink,
-        &cfg.retry,
-        resilience,
-        "hls_check",
-        fingerprint,
-        eval.transients,
-        clock,
-    );
-    let compile_cost = costs.full_compile_loc(eval.loc);
-    clock.advance(compile_cost);
-    attempt_cost += compile_cost;
-    stats.full_compiles += 1;
-    if sink.enabled() {
-        sink.emit(&Event::FullCompile {
-            fingerprint,
-            loc: eval.loc as u64,
-            cost_min: compile_cost,
-            at_min: clock.elapsed_min(),
-        });
-    }
-    let child_diags = eval
-        .diags
-        .clone()
-        .expect("style-clean candidates are compiled");
-    // Regressions (strictly more errors) are dropped.
-    if child_diags.len() > parent_diags.len() && !parent_diags.is_empty() {
-        emit_candidate(
-            sink,
-            kind,
-            fingerprint,
-            Verdict::Regressed,
-            attempt_cost,
-            clock,
-        );
-        return None;
-    }
-    emit_candidate(
-        sink,
-        kind,
-        fingerprint,
-        Verdict::Admitted,
-        attempt_cost,
-        clock,
-    );
-    if sink.enabled() {
-        sink.emit(&Event::EditApplied {
-            kind: kind.to_string(),
-            at_min: clock.elapsed_min(),
-        });
-    }
-    Some(child_diags)
-}
-
-/// Bills a crashed (poisoned) candidate exactly what its fault-free
-/// evaluation would have cost — the style check it passed plus the full
-/// compile the panic interrupted — so a chaos run's clock trajectory matches
-/// the fault-free run's, then records the crash.
-#[allow(clippy::too_many_arguments)]
-fn bill_crashed<S: TraceSink + ?Sized>(
-    program: &Program,
-    fingerprint: u64,
-    kind: &str,
-    cfg: &SearchConfig,
-    costs: &CompileCostModel,
-    clock: &mut SimClock,
-    stats: &mut SearchStats,
-    resilience: &mut ResilienceStats,
-    sink: &S,
-) {
-    let mut attempt_cost = 0.0;
-    if cfg.use_style_checker {
-        let c = costs.style_check(program);
-        clock.advance(c);
-        attempt_cost += c;
-        stats.style_checks += 1;
-    }
-    let compile_cost = costs.full_compile(program);
-    clock.advance(compile_cost);
-    attempt_cost += compile_cost;
-    stats.full_compiles += 1;
-    resilience.crashes += 1;
-    if sink.enabled() {
-        sink.emit(&Event::CandidateCrashed {
-            kind: kind.to_string(),
-            fingerprint,
-            at_min: clock.elapsed_min(),
-        });
-        sink.emit(&Event::CandidateEvaluated {
-            kind: kind.to_string(),
-            fingerprint,
-            verdict: Verdict::Crashed,
-            sim_cost_min: attempt_cost,
-            at_min: clock.elapsed_min(),
-        });
-    }
-}
-
-/// Replays the transient faults a worker absorbed while evaluating one
-/// candidate into the caller-thread accounting: resilience counters, the
-/// backoff ledger, and (merge-phase-only) trace events. The search clock is
-/// deliberately untouched — see [`repair_resilient`].
-fn replay_transients<S: TraceSink + ?Sized>(
-    sink: &S,
-    retry: &RetryPolicy,
-    resilience: &mut ResilienceStats,
-    site: &str,
-    fingerprint: u64,
-    transients: u32,
-    clock: &SimClock,
-) {
-    for a in 0..transients {
-        resilience.transient_faults += 1;
-        let delay = retry.delay_before(a + 1).unwrap_or(0.0);
-        resilience.retries += 1;
-        resilience.backoff_min += delay;
-        if sink.enabled() {
-            sink.emit(&Event::FaultInjected {
-                site: site.to_string(),
-                fault: "transient".to_string(),
-                fingerprint,
-                attempt: a as u64,
-                at_min: clock.elapsed_min(),
-            });
-            sink.emit(&Event::RetryScheduled {
-                site: site.to_string(),
-                fingerprint,
-                attempt: (a + 1) as u64,
-                delay_min: delay,
-                at_min: clock.elapsed_min(),
+        self.candidate(kind, fingerprint, Verdict::Admitted, attempt_cost);
+        if self.sink.enabled() {
+            self.sink.emit(&Event::EditApplied {
+                kind: kind.to_string(),
+                at_min: self.clock.elapsed_min(),
             });
         }
+        Some(child_diags)
     }
-}
 
-/// Emits one [`Event::CandidateEvaluated`] for a merged attempt. Gated on
-/// [`TraceSink::enabled`] so a [`NullSink`] run never constructs the
-/// payload.
-fn emit_candidate<S: TraceSink + ?Sized>(
-    sink: &S,
-    kind: &str,
-    fingerprint: u64,
-    verdict: Verdict,
-    sim_cost_min: f64,
-    clock: &SimClock,
-) {
-    if sink.enabled() {
-        sink.emit(&Event::CandidateEvaluated {
-            kind: kind.to_string(),
-            fingerprint,
-            verdict,
-            sim_cost_min,
-            at_min: clock.elapsed_min(),
-        });
+    /// Bills a crashed (poisoned) candidate exactly what its fault-free
+    /// evaluation would have cost — the style check it passed plus the full
+    /// compile the panic interrupted — so a chaos run's clock trajectory
+    /// matches the fault-free run's, then records the crash.
+    fn bill_crashed(&mut self, program: &Program, fingerprint: u64, kind: &str) {
+        let mut attempt_cost = 0.0;
+        if self.cfg.use_style_checker {
+            let c = self.costs.style_check(program);
+            self.clock.advance(c);
+            attempt_cost += c;
+            self.stats.style_checks += 1;
+        }
+        let compile_cost = self.costs.full_compile(program);
+        self.clock.advance(compile_cost);
+        attempt_cost += compile_cost;
+        self.stats.full_compiles += 1;
+        self.resilience.crashes += 1;
+        if self.sink.enabled() {
+            self.sink.emit(&Event::CandidateCrashed {
+                kind: kind.to_string(),
+                fingerprint,
+                at_min: self.clock.elapsed_min(),
+            });
+        }
+        self.candidate(kind, fingerprint, Verdict::Crashed, attempt_cost);
+    }
+
+    /// Replays the transient faults a worker absorbed while evaluating one
+    /// candidate: resilience counters, the backoff ledger, and trace events.
+    /// The search clock is deliberately untouched — see [`repair`].
+    fn replay_transients(&mut self, site: &str, fingerprint: u64, transients: u32) {
+        for a in 0..transients {
+            self.resilience.transient_faults += 1;
+            let delay = self.cfg.retry.delay_before(a + 1).unwrap_or(0.0);
+            self.resilience.retries += 1;
+            self.resilience.backoff_min += delay;
+            if self.sink.enabled() {
+                self.sink.emit(&Event::FaultInjected {
+                    site: site.to_string(),
+                    fault: "transient".to_string(),
+                    fingerprint,
+                    attempt: a as u64,
+                    at_min: self.clock.elapsed_min(),
+                });
+                self.sink.emit(&Event::RetryScheduled {
+                    site: site.to_string(),
+                    fingerprint,
+                    attempt: (a + 1) as u64,
+                    delay_min: delay,
+                    at_min: self.clock.elapsed_min(),
+                });
+            }
+        }
+    }
+
+    /// Emits one [`Event::CandidateEvaluated`] for a merged attempt. Gated
+    /// on [`TraceSink::enabled`] so a [`NullSink`] run never constructs the
+    /// payload.
+    fn candidate(&self, kind: &str, fingerprint: u64, verdict: Verdict, sim_cost_min: f64) {
+        if self.sink.enabled() {
+            self.sink.emit(&Event::CandidateEvaluated {
+                kind: kind.to_string(),
+                fingerprint,
+                verdict,
+                sim_cost_min,
+                at_min: self.clock.elapsed_min(),
+            });
+        }
     }
 }
 
@@ -1676,7 +1471,12 @@ fn random_noise_edits(p: &Program, rng: &mut SmallRng, n: usize) -> Vec<RepairEd
 #[cfg(test)]
 mod tests {
     use super::*;
+    use heterogen_toolchain::SimBackend;
     use minic_exec::ArgValue;
+
+    fn sim() -> Env<SimBackend> {
+        Env::new(SimBackend::default_profile())
+    }
 
     fn quick_cfg() -> SearchConfig {
         SearchConfig {
@@ -1702,7 +1502,16 @@ mod tests {
         let tests: Vec<TestCase> = (1..=4)
             .map(|i| vec![ArgValue::IntArray(vec![0; 16]), ArgValue::Int(i * 4)])
             .collect();
-        let out = repair(&p, p.clone(), "kernel", &tests, &profile, &quick_cfg()).unwrap();
+        let out = repair(
+            &p,
+            p.clone(),
+            "kernel",
+            &tests,
+            &profile,
+            &quick_cfg(),
+            &sim(),
+        )
+        .unwrap();
         assert!(out.success, "applied: {:?}", out.applied);
         assert!(out.applied.contains(&"array_static".to_string()));
         assert!(SimBackend::default_profile()
@@ -1722,6 +1531,7 @@ mod tests {
             &tests,
             &Profile::new(),
             &quick_cfg(),
+            &sim(),
         )
         .unwrap();
         assert!(out.success, "applied: {:?}", out.applied);
@@ -1759,6 +1569,7 @@ mod tests {
             &tests,
             &Profile::new(),
             &quick_cfg(),
+            &sim(),
         )
         .unwrap();
         assert!(out.success, "applied: {:?}", out.applied);
@@ -1796,7 +1607,16 @@ mod tests {
         let tests: Vec<TestCase> = (0..3)
             .map(|k| vec![ArgValue::IntArray((0..32).map(|i| i + k).collect())])
             .collect();
-        let out = repair(&p, p.clone(), "kernel", &tests, &profile, &quick_cfg()).unwrap();
+        let out = repair(
+            &p,
+            p.clone(),
+            "kernel",
+            &tests,
+            &profile,
+            &quick_cfg(),
+            &sim(),
+        )
+        .unwrap();
         assert!(out.success, "applied: {:?}", out.applied);
         assert!(out.applied.contains(&"stack_trans".to_string()));
         assert!(
@@ -1822,7 +1642,16 @@ mod tests {
         let mut cfg = quick_cfg();
         cfg.explore_performance = true;
         cfg.budget_min = 300.0;
-        let out = repair(&p, p.clone(), "kernel", &tests, &Profile::new(), &cfg).unwrap();
+        let out = repair(
+            &p,
+            p.clone(),
+            "kernel",
+            &tests,
+            &Profile::new(),
+            &cfg,
+            &sim(),
+        )
+        .unwrap();
         assert!(out.success);
         assert!(
             out.applied.iter().any(|k| k == "insert_pragma"),
@@ -1867,6 +1696,7 @@ mod tests {
             &tests,
             &Profile::new(),
             &quick_cfg(),
+            &sim(),
         )
         .unwrap();
         assert!(with.success);
@@ -1880,7 +1710,16 @@ mod tests {
             cfg.use_dependence = false;
             cfg.budget_min = 720.0;
             cfg.rng_seed = seed;
-            let without = repair(&p, p.clone(), "kernel", &tests, &Profile::new(), &cfg).unwrap();
+            let without = repair(
+                &p,
+                p.clone(),
+                "kernel",
+                &tests,
+                &Profile::new(),
+                &cfg,
+                &sim(),
+            )
+            .unwrap();
             match without.stats.first_success_min {
                 Some(t) => total_without += t,
                 None => {
@@ -1903,10 +1742,19 @@ mod tests {
         let tests: Vec<TestCase> = vec![vec![ArgValue::Int(3)]];
         let mut profile = Profile::new();
         profile.record_index("kernel", "buf", 7);
-        let with = repair(&p, p.clone(), "kernel", &tests, &profile, &quick_cfg()).unwrap();
+        let with = repair(
+            &p,
+            p.clone(),
+            "kernel",
+            &tests,
+            &profile,
+            &quick_cfg(),
+            &sim(),
+        )
+        .unwrap();
         let mut cfg = quick_cfg();
         cfg.use_style_checker = false;
-        let without = repair(&p, p.clone(), "kernel", &tests, &profile, &cfg).unwrap();
+        let without = repair(&p, p.clone(), "kernel", &tests, &profile, &cfg, &sim()).unwrap();
         assert!(with.success && without.success);
         assert_eq!(without.stats.style_checks, 0);
     }

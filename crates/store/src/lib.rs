@@ -197,8 +197,9 @@ pub struct ScriptKey {
 /// Key of one persisted fuzz campaign.
 ///
 /// `seeds_fp` fingerprints the seed inputs and `config_fp` the
-/// result-relevant [`FuzzConfig`] knobs — deliberately excluding `threads`
-/// and `engine`, which are documented not to change campaign results.
+/// result-relevant [`FuzzConfig`] knobs — deliberately excluding `threads`,
+/// which is documented not to change campaign results (nor does the
+/// engine, which the key never sees).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CorpusKey {
     /// `minic::fingerprint_program` of the subject.
@@ -253,9 +254,9 @@ pub struct CorpusRecord {
 ///
 /// The config fingerprint covers exactly the knobs that influence campaign
 /// *results* (`rng_seed`, `exec_cost_min`, `idle_stop_min`, `max_execs`,
-/// `mutants_per_seed`); `threads` and `engine` only influence wall-clock
-/// time and are excluded, so a campaign recorded at one thread count warms
-/// a run at any other.
+/// `mutants_per_seed`); `threads` only influences wall-clock time and is
+/// excluded, so a campaign recorded at one thread count (or on either
+/// engine) warms a run at any other.
 pub fn fuzz_campaign_key(
     program_fp: u64,
     kernel: &str,
@@ -1059,12 +1060,11 @@ mod tests {
     }
 
     #[test]
-    fn campaign_key_ignores_threads_and_engine_but_not_results_knobs() {
+    fn campaign_key_ignores_threads_but_not_results_knobs() {
         let seeds = vec![vec![ArgValue::Int(1)]];
         let base = FuzzConfig::default();
         let mut threaded = base;
         threaded.threads = 8;
-        threaded.engine = ExecEngine::Bytecode;
         assert_eq!(
             fuzz_campaign_key(1, "k", &seeds, &base),
             fuzz_campaign_key(1, "k", &seeds, &threaded)

@@ -18,11 +18,10 @@
 
 use crate::mutate::{mutate_case, random_value};
 use crate::spec::{kernel_specs, ArgSpec};
-use heterogen_trace::{Event, NullSink, TraceSink};
+use heterogen_toolchain::{Env, Toolchain};
+use heterogen_trace::{Event, TraceSink};
 use minic::Program;
-use minic_exec::{
-    coverage, ArgValue, CoverageMap, ExecEngine, Machine, MachineConfig, Prepared, Profile,
-};
+use minic_exec::{coverage, ArgValue, CoverageMap, Machine, MachineConfig, Prepared, Profile};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -61,9 +60,6 @@ pub struct FuzzConfig {
     /// parallelism". Any value produces the same corpus, counters, and
     /// profile — only wall-clock time changes.
     pub threads: usize,
-    /// Execution engine for mutant runs. Both engines produce identical
-    /// corpora, coverage, and profiles; only wall-clock time changes.
-    pub engine: ExecEngine,
 }
 
 impl Default for FuzzConfig {
@@ -75,7 +71,6 @@ impl Default for FuzzConfig {
             max_execs: 20_000,
             mutants_per_seed: 16,
             threads: 0,
-            engine: ExecEngine::default(),
         }
     }
 }
@@ -147,12 +142,6 @@ impl FuzzConfigBuilder {
         self
     }
 
-    /// Sets the execution engine for mutant runs.
-    pub fn with_engine(mut self, v: ExecEngine) -> Self {
-        self.cfg.engine = v;
-        self
-    }
-
     /// Finalizes the configuration.
     pub fn build(self) -> FuzzConfig {
         self.cfg
@@ -205,37 +194,29 @@ pub fn kernel_seeds_from_host(
     m.captured
 }
 
-/// Runs the fuzzing campaign of Algorithm 1.
+/// Runs the fuzzing campaign of Algorithm 1 in `env`: mutants execute on
+/// the engine of `env.backend`, and one [`Event::FuzzRoundEnd`] per
+/// completed round goes to `env.sink`. Faults and the verdict store do not
+/// apply to CPU-side fuzzing.
+///
+/// Both engines produce identical corpora, coverage, and profiles; only
+/// wall-clock time changes. Events are emitted from the caller thread only,
+/// after each round's results are merged in draw order, so the event stream
+/// is bit-identical for any [`FuzzConfig::threads`] value. The sink is a
+/// generic parameter, so a `NullSink` environment compiles every emission
+/// site away.
 ///
 /// # Errors
 ///
 /// Fails when the kernel signature is not fuzzable.
-pub fn fuzz(
+pub fn fuzz<B: Toolchain, S: TraceSink, I>(
     p: &Program,
     kernel: &str,
     seeds: Vec<TestCase>,
     config: &FuzzConfig,
+    env: &Env<B, S, I>,
 ) -> Result<FuzzReport, String> {
-    fuzz_traced(p, kernel, seeds, config, &NullSink)
-}
-
-/// Like [`fuzz`], emitting one [`Event::FuzzRoundEnd`] per completed round
-/// into `sink`.
-///
-/// Events are emitted from the caller thread only, after each round's
-/// results are merged in draw order, so the event stream is bit-identical
-/// for any [`FuzzConfig::threads`] value.
-///
-/// # Errors
-///
-/// Fails when the kernel signature is not fuzzable.
-pub fn fuzz_traced<S: TraceSink + ?Sized>(
-    p: &Program,
-    kernel: &str,
-    seeds: Vec<TestCase>,
-    config: &FuzzConfig,
-    sink: &S,
-) -> Result<FuzzReport, String> {
+    let sink = &env.sink;
     let specs = kernel_specs(p, kernel)?;
     let mut rng = SmallRng::seed_from_u64(config.rng_seed);
 
@@ -264,7 +245,7 @@ pub fn fuzz_traced<S: TraceSink + ?Sized>(
     // Worker-side execution: runs a case on a fresh per-run interpreter
     // (the program is lowered once, up front) and returns its raw
     // observations without touching any campaign state.
-    let prepared = Prepared::new(config.engine, p);
+    let prepared = Prepared::new(env.backend.engine(), p);
     let exec_case = |case: &TestCase| -> Option<RunResult> {
         let mut m = prepared.runner(MachineConfig::cpu()).ok()?;
         let outcome = m.run_kernel(kernel, case);
@@ -473,6 +454,11 @@ pub fn specs_of(p: &Program, kernel: &str) -> Result<Vec<ArgSpec>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use heterogen_toolchain::SimBackend;
+
+    fn env() -> Env<SimBackend> {
+        Env::new(SimBackend::default_profile())
+    }
 
     #[test]
     fn reaches_full_coverage_on_branchy_kernel() {
@@ -492,7 +478,7 @@ mod tests {
             max_execs: 4000,
             ..Default::default()
         };
-        let r = fuzz(&p, "kernel", vec![], &cfg).expect("kernel signature is fuzzable");
+        let r = fuzz(&p, "kernel", vec![], &cfg, &env()).expect("kernel signature is fuzzable");
         assert!(r.coverage >= 0.99, "coverage = {}", r.coverage);
         assert!(r.corpus.len() >= 3);
         assert!(r.executed > 0);
@@ -507,8 +493,8 @@ mod tests {
             max_execs: 500,
             ..Default::default()
         };
-        let a = fuzz(&p, "kernel", vec![], &cfg).expect("kernel signature is fuzzable");
-        let b = fuzz(&p, "kernel", vec![], &cfg).expect("kernel signature is fuzzable");
+        let a = fuzz(&p, "kernel", vec![], &cfg, &env()).expect("kernel signature is fuzzable");
+        let b = fuzz(&p, "kernel", vec![], &cfg, &env()).expect("kernel signature is fuzzable");
         assert_eq!(a.corpus, b.corpus);
         assert_eq!(a.executed, b.executed);
     }
@@ -524,7 +510,7 @@ mod tests {
             max_execs: 1000,
             ..Default::default()
         };
-        let rep = fuzz(&p, "kernel", vec![], &cfg).expect("kernel signature is fuzzable");
+        let rep = fuzz(&p, "kernel", vec![], &cfg, &env()).expect("kernel signature is fuzzable");
         let range = rep
             .profile
             .range_of("kernel", "r")
@@ -561,7 +547,8 @@ mod tests {
         };
         let good = vec![ArgValue::IntArray(vec![1, 2, 3, 4])];
         let bad = vec![ArgValue::IntArray(vec![1])]; // wrong length
-        let r = fuzz(&p, "kernel", vec![good, bad], &cfg).expect("kernel signature is fuzzable");
+        let r = fuzz(&p, "kernel", vec![good, bad], &cfg, &env())
+            .expect("kernel signature is fuzzable");
         assert!(r.corpus.iter().all(|c| match &c[0] {
             ArgValue::IntArray(v) => v.len() == 4,
             _ => false,
@@ -577,7 +564,7 @@ mod tests {
             max_execs: 200,
             ..Default::default()
         };
-        let r = fuzz(&p, "kernel", vec![], &cfg).expect("kernel signature is fuzzable");
+        let r = fuzz(&p, "kernel", vec![], &cfg, &env()).expect("kernel signature is fuzzable");
         assert!(r.sim_minutes >= 5.0);
     }
 }

@@ -9,6 +9,7 @@
 //! # Examples
 //!
 //! ```
+//! use heterogen_toolchain::{Env, SimBackend};
 //! use testgen::{fuzz, FuzzConfig};
 //!
 //! let p = minic::parse("int kernel(int x) { if (x > 0) { return 1; } return 0; }").unwrap();
@@ -16,7 +17,8 @@
 //!     .with_idle_stop_min(0.5)
 //!     .with_max_execs(300)
 //!     .build();
-//! let report = fuzz(&p, "kernel", vec![], &cfg).unwrap();
+//! let env = Env::new(SimBackend::default_profile());
+//! let report = fuzz(&p, "kernel", vec![], &cfg, &env).unwrap();
 //! assert!(report.coverage > 0.9);
 //! ```
 
@@ -25,8 +27,7 @@ pub mod mutate;
 pub mod spec;
 
 pub use generator::{
-    fuzz, fuzz_traced, kernel_seeds_from_host, FuzzConfig, FuzzConfigBuilder, FuzzReport, TestCase,
-    MAX_FAILING,
+    fuzz, kernel_seeds_from_host, FuzzConfig, FuzzConfigBuilder, FuzzReport, TestCase, MAX_FAILING,
 };
 pub use mutate::{mutate_case, random_value, MAX_DYNAMIC_LEN};
 pub use spec::{kernel_specs, ArgSpec};

@@ -18,7 +18,10 @@
 //!   [`Memoized`] (fingerprint-keyed evaluation cache),
 //!   [`Resilient`] (fault-injection consultation + transient retry), and
 //!   [`Traced`] (invocation events), stacked as
-//!   `Memoized(Resilient(Traced(backend)))`.
+//!   `Memoized(Resilient(Traced(backend)))`;
+//! * [`Env`] — the one evaluation context (backend, trace sink, fault
+//!   injector, optional [`VerdictStore`]) the pipeline stages take by
+//!   reference.
 //!
 //! # Middleware stack semantics
 //!
@@ -62,8 +65,8 @@
 //! assert!(!eval.diags.unwrap().is_empty()); // unknown-size array
 //! ```
 
-use heterogen_faults::{Fault, FaultInjector, FaultSite, RetryPolicy};
-use heterogen_trace::{Event, TraceSink};
+use heterogen_faults::{Fault, FaultInjector, FaultSite, NoFaults, RetryPolicy};
+use heterogen_trace::{Event, NullSink, TraceSink};
 use hls_sim::{check_program, check_style, ErrorCategory, FpgaSimulator, HlsDiagnostic};
 pub use hls_sim::{CompileCostModel, ScheduleModel, SimResult, StyleViolation, ToolchainError};
 use minic::Program;
@@ -194,9 +197,11 @@ pub trait Toolchain: Send + Sync {
         key: u64,
     ) -> Result<Simulated, ToolchainError>;
 
-    /// The execution engine this backend evaluates candidates with. Part of
-    /// every memoization key: TreeWalk and Bytecode runs sharing a process
-    /// (or a persistent store) must never alias each other's verdicts.
+    /// The execution engine this backend evaluates candidates with — the
+    /// pipeline's only engine choice: fuzzing, reference runs and candidate
+    /// simulation all read it. Part of every memoization key: TreeWalk and
+    /// Bytecode runs sharing a process (or a persistent store) must never
+    /// alias each other's verdicts.
     fn engine(&self) -> ExecEngine {
         ExecEngine::default()
     }
@@ -848,6 +853,81 @@ impl<T: Toolchain> Toolchain for Persisted<T> {
     }
     fn diagnose(&self, p: &Program) -> Vec<HlsDiagnostic> {
         self.inner.diagnose(p)
+    }
+}
+
+/// The evaluation context every pipeline stage runs in: the toolchain
+/// backend, the trace sink, the fault injector, and an optional durable
+/// [`VerdictStore`]. `repair::repair` and the fault-aware differential
+/// evaluation take one by reference; `testgen::fuzz` takes its engine and
+/// sink from one.
+///
+/// The backend is the only place the execution engine is chosen: fuzzing,
+/// reference runs and candidate simulation all read
+/// [`Toolchain::engine`] of `backend`.
+///
+/// Generic over its parts, like the middleware stack: the default
+/// `Env<B, NullSink, NoFaults>` monomorphizes every emission site and fault
+/// consultation away, while a dynamic caller instantiates
+/// `Env<&dyn Toolchain, &dyn TraceSink, &dyn FaultInjector>`.
+///
+/// ```
+/// use heterogen_toolchain::{Env, SimBackend, Toolchain};
+/// use minic_exec::ExecEngine;
+///
+/// let env = Env::new(SimBackend::default_profile().with_engine(ExecEngine::TreeWalk));
+/// assert_eq!(env.backend.engine(), ExecEngine::TreeWalk);
+/// ```
+#[derive(Clone)]
+pub struct Env<B, S = NullSink, I = NoFaults> {
+    /// The toolchain every check, compile and simulation goes through.
+    pub backend: B,
+    /// Where the stage reports structured events.
+    pub sink: S,
+    /// Consulted before every toolchain invocation.
+    pub faults: I,
+    /// Durable verdict memo checked before the in-memory layers (`None`
+    /// disables persistence).
+    pub store: Option<Arc<dyn VerdictStore>>,
+}
+
+impl<B: Toolchain> Env<B> {
+    /// A context over `backend` with tracing, faults and persistence off.
+    pub fn new(backend: B) -> Env<B> {
+        Env {
+            backend,
+            sink: NullSink,
+            faults: NoFaults,
+            store: None,
+        }
+    }
+}
+
+impl<B, S, I> Env<B, S, I> {
+    /// Replaces the trace sink.
+    pub fn with_sink<S2: TraceSink>(self, sink: S2) -> Env<B, S2, I> {
+        Env {
+            backend: self.backend,
+            sink,
+            faults: self.faults,
+            store: self.store,
+        }
+    }
+
+    /// Replaces the fault injector.
+    pub fn with_faults<I2: FaultInjector>(self, faults: I2) -> Env<B, S, I2> {
+        Env {
+            backend: self.backend,
+            sink: self.sink,
+            faults,
+            store: self.store,
+        }
+    }
+
+    /// Replaces the durable verdict store (`None` disables it).
+    pub fn with_store(mut self, store: Option<Arc<dyn VerdictStore>>) -> Env<B, S, I> {
+        self.store = store;
+        self
     }
 }
 

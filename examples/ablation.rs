@@ -5,6 +5,7 @@
 //! cargo run --release --example ablation [P1..P10]
 //! ```
 
+use heterogen_toolchain::{Env, SimBackend};
 use repair::SearchConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -15,6 +16,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     let program = subject.parse();
 
+    // One evaluation context for both stages: the default backend, which
+    // also fixes the execution engine; tracing, faults and persistence off.
+    let env = Env::new(SimBackend::default_profile());
+
     // Shared test generation.
     let fuzz_cfg = testgen::FuzzConfig::builder()
         .with_idle_stop_min(1.0)
@@ -22,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build();
     let mut seeds = subject.seed_inputs.clone();
     seeds.extend(subject.existing_tests.clone());
-    let fr = testgen::fuzz(&program, subject.kernel, seeds, &fuzz_cfg)?;
+    let fr = testgen::fuzz(&program, subject.kernel, seeds, &fuzz_cfg, &env)?;
     let broken = heterogen_core::initial_version(&program, &fr.profile);
     println!(
         "{id}: {} tests, {:.0}% coverage, {} initial errors",
@@ -44,6 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &fr.corpus,
             &fr.profile,
             &cfg,
+            &env,
         )
         .expect("repair runs");
         println!(

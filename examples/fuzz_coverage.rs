@@ -5,6 +5,7 @@
 //! cargo run --release --example fuzz_coverage
 //! ```
 
+use heterogen_toolchain::{Env, SimBackend};
 use testgen::{fuzz, kernel_seeds_from_host, FuzzConfig};
 
 /// A kernel with hard-to-reach branches plus a host that builds a valid
@@ -50,7 +51,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_idle_stop_min(2.0)
         .with_max_execs(3000)
         .build();
-    let report = fuzz(&program, "classify", seeds, &cfg)?;
+    let report = fuzz(
+        &program,
+        "classify",
+        seeds,
+        &cfg,
+        &Env::new(SimBackend::default_profile()),
+    )?;
 
     println!("\nexecuted inputs ........ {}", report.executed);
     println!("corpus (kept) .......... {}", report.corpus.len());

@@ -6,20 +6,33 @@
 //! bit-identical to the sequential (`threads = 1`) baseline. These tests
 //! pin that contract on real benchmark subjects.
 
-use minic_exec::ExecEngine;
+use heterogen_toolchain::{Env, SimBackend};
+use heterogen_trace::NullSink;
 use repair::{DifferentialTester, SearchConfig};
-use testgen::FuzzConfig;
+use testgen::{FuzzConfig, FuzzReport, TestCase};
 
 const THREADS: [usize; 3] = [2, 4, 8];
 
-/// The engine the whole suite runs under: `HETEROGEN_ENGINE=treewalk`
-/// replays every thread-invariance test on the reference interpreter (CI
-/// runs the suite once per engine), default is the bytecode VM.
-fn engine_under_test() -> ExecEngine {
-    std::env::var("HETEROGEN_ENGINE")
+/// The backend the whole suite runs under. `HETEROGEN_ENGINE=treewalk`
+/// builds it on the reference interpreter, so every test replays fuzzing,
+/// the differential reference and candidate simulation on it (CI runs the
+/// suite once per engine); the default is the bytecode VM.
+fn backend_under_test() -> SimBackend {
+    let engine = std::env::var("HETEROGEN_ENGINE")
         .ok()
         .map(|v| v.parse().expect("valid HETEROGEN_ENGINE"))
-        .unwrap_or_default()
+        .unwrap_or_default();
+    SimBackend::default_profile().with_engine(engine)
+}
+
+/// A repair environment over [`backend_under_test`] with tracing, faults
+/// and persistence off.
+fn env() -> Env<SimBackend> {
+    Env::new(backend_under_test())
+}
+
+fn fuzz(p: &minic::Program, kernel: &str, seeds: Vec<TestCase>, cfg: &FuzzConfig) -> FuzzReport {
+    testgen::fuzz(p, kernel, seeds, cfg, &env()).unwrap()
 }
 
 fn fuzz_cfg(threads: usize) -> FuzzConfig {
@@ -27,7 +40,6 @@ fn fuzz_cfg(threads: usize) -> FuzzConfig {
         .with_idle_stop_min(0.5)
         .with_max_execs(400)
         .with_threads(threads)
-        .with_engine(engine_under_test())
         .build()
 }
 
@@ -37,7 +49,6 @@ fn search_cfg(threads: usize) -> SearchConfig {
         .with_max_diff_tests(8)
         .with_explore_performance(true)
         .with_threads(threads)
-        .with_engine(engine_under_test())
         .build()
 }
 
@@ -48,10 +59,10 @@ fn fuzzing_is_thread_count_invariant() {
         let p = s.parse();
         let mut seeds = s.seed_inputs.clone();
         seeds.extend(s.existing_tests.clone());
-        let base = testgen::fuzz(&p, s.kernel, seeds.clone(), &fuzz_cfg(1)).unwrap();
+        let base = fuzz(&p, s.kernel, seeds.clone(), &fuzz_cfg(1));
         assert!(!base.corpus.is_empty(), "{id}: empty baseline corpus");
         for threads in THREADS {
-            let r = testgen::fuzz(&p, s.kernel, seeds.clone(), &fuzz_cfg(threads)).unwrap();
+            let r = fuzz(&p, s.kernel, seeds.clone(), &fuzz_cfg(threads));
             assert_eq!(base.corpus, r.corpus, "{id}: corpus @ {threads} threads");
             assert_eq!(
                 base.executed, r.executed,
@@ -80,18 +91,23 @@ fn fuzzing_is_thread_count_invariant() {
 fn differential_testing_is_thread_count_invariant() {
     let s = benchsuite::subject("P6").unwrap();
     let p = s.parse();
-    let fr = testgen::fuzz(&p, s.kernel, s.seed_inputs.clone(), &fuzz_cfg(1)).unwrap();
+    let fr = fuzz(&p, s.kernel, s.seed_inputs.clone(), &fuzz_cfg(1));
     let broken = heterogen_core::initial_version(&p, &fr.profile);
-    let base = DifferentialTester::with_threads(&p, s.kernel, &fr.corpus, 48, 1).unwrap();
-    let base_report = base.evaluate(&broken);
+    let backend = backend_under_test();
+    let tester = |threads| {
+        DifferentialTester::with_engine(&p, s.kernel, &fr.corpus, 48, threads, backend.engine())
+            .unwrap()
+    };
+    let base = tester(1);
+    let base_report = base.evaluate_with(&backend, &broken, &NullSink);
     for threads in THREADS {
-        let d = DifferentialTester::with_threads(&p, s.kernel, &fr.corpus, 48, threads).unwrap();
+        let d = tester(threads);
         assert_eq!(
             base.cpu_latency_ms().to_bits(),
             d.cpu_latency_ms().to_bits(),
             "cpu latency @ {threads} threads"
         );
-        let r = d.evaluate(&broken);
+        let r = d.evaluate_with(&backend, &broken, &NullSink);
         assert_eq!(
             base_report.pass_ratio.to_bits(),
             r.pass_ratio.to_bits(),
@@ -112,7 +128,7 @@ fn assert_repair_invariant(id: &str, cfg_for: impl Fn(usize) -> SearchConfig) {
     let p = s.parse();
     let mut seeds = s.seed_inputs.clone();
     seeds.extend(s.existing_tests.clone());
-    let fr = testgen::fuzz(&p, s.kernel, seeds, &fuzz_cfg(1)).unwrap();
+    let fr = fuzz(&p, s.kernel, seeds, &fuzz_cfg(1));
     let broken = heterogen_core::initial_version(&p, &fr.profile);
 
     let base = repair::repair(
@@ -122,6 +138,7 @@ fn assert_repair_invariant(id: &str, cfg_for: impl Fn(usize) -> SearchConfig) {
         &fr.corpus,
         &fr.profile,
         &cfg_for(1),
+        &env(),
     )
     .unwrap();
     for threads in THREADS {
@@ -132,6 +149,7 @@ fn assert_repair_invariant(id: &str, cfg_for: impl Fn(usize) -> SearchConfig) {
             &fr.corpus,
             &fr.profile,
             &cfg_for(threads),
+            &env(),
         )
         .unwrap();
         assert_eq!(
@@ -188,33 +206,28 @@ fn random_ablation_is_thread_count_invariant() {
     });
 }
 
-/// The backend-generic entry point under a non-default backend: the
+/// The repair search under a non-default backend: the
 /// embedded profile reschedules and re-bills every candidate, and the
 /// whole search must still be thread-count invariant — same stats, same
 /// winning program, bit-identical latency at any worker count.
 #[test]
 fn alternative_backend_search_is_thread_count_invariant() {
-    use heterogen_faults::NoFaults;
-    use heterogen_toolchain::SimBackend;
-    use heterogen_trace::NullSink;
-
     let s = benchsuite::subject("P6").unwrap();
     let p = s.parse();
-    let fr = testgen::fuzz(&p, s.kernel, s.seed_inputs.clone(), &fuzz_cfg(1)).unwrap();
+    let fr = fuzz(&p, s.kernel, s.seed_inputs.clone(), &fuzz_cfg(1));
     let broken = heterogen_core::initial_version(&p, &fr.profile);
-    let backend = SimBackend::embedded_profile();
+    let embedded =
+        Env::new(SimBackend::embedded_profile().with_engine(backend_under_test().engine()));
 
     let run_at = |threads: usize| {
-        repair::repair_with_backend(
+        repair::repair(
             &p,
             broken.clone(),
             s.kernel,
             &fr.corpus,
             &fr.profile,
             &search_cfg(threads),
-            &NullSink,
-            &NoFaults,
-            &backend,
+            &embedded,
         )
         .unwrap()
     };
@@ -249,6 +262,7 @@ fn alternative_backend_search_is_thread_count_invariant() {
         &fr.corpus,
         &fr.profile,
         &search_cfg(1),
+        &env(),
     )
     .unwrap();
     assert_ne!(
@@ -277,7 +291,11 @@ fn trace_stream_is_thread_count_invariant() {
         cfg.fuzz = fuzz_cfg(threads);
         cfg.search = search_cfg(threads);
         let sink = Arc::new(JsonlSink::new());
-        let session = HeteroGen::builder().config(cfg).sink(sink.clone()).build();
+        let session = HeteroGen::builder()
+            .config(cfg)
+            .backend(backend_under_test())
+            .sink(sink.clone())
+            .build();
         session
             .run(JobSpec::fuzz(p.clone(), s.kernel, seeds.clone()))
             .unwrap();
@@ -318,18 +336,18 @@ fn chaos_transient_faults_leave_the_search_byte_identical() {
 
     let s = benchsuite::subject("P6").unwrap();
     let p = s.parse();
-    let fr = testgen::fuzz(&p, s.kernel, s.seed_inputs.clone(), &fuzz_cfg(1)).unwrap();
+    let fr = fuzz(&p, s.kernel, s.seed_inputs.clone(), &fuzz_cfg(1));
     let broken = heterogen_core::initial_version(&p, &fr.profile);
 
     let base_sink = JsonlSink::new();
-    let base = repair::repair_traced(
+    let base = repair::repair(
         &p,
         broken.clone(),
         s.kernel,
         &fr.corpus,
         &fr.profile,
         &search_cfg(1),
-        &base_sink,
+        &env().with_sink(&base_sink),
     )
     .unwrap();
     let base_trace = base_sink.contents();
@@ -343,15 +361,14 @@ fn chaos_transient_faults_leave_the_search_byte_identical() {
         .build();
     for threads in [1usize, 2, 4] {
         let sink = JsonlSink::new();
-        let r = repair::repair_resilient(
+        let r = repair::repair(
             &p,
             broken.clone(),
             s.kernel,
             &fr.corpus,
             &fr.profile,
             &search_cfg(threads),
-            &sink,
-            &plan,
+            &env().with_sink(&sink).with_faults(&plan),
         )
         .unwrap();
         assert_eq!(base.applied, r.applied, "applied @ {threads} threads");
@@ -422,18 +439,18 @@ fn chaos_poisoned_candidate_is_isolated_and_the_repair_still_lands() {
 
     let s = benchsuite::subject("P6").unwrap();
     let p = s.parse();
-    let fr = testgen::fuzz(&p, s.kernel, s.seed_inputs.clone(), &fuzz_cfg(1)).unwrap();
+    let fr = fuzz(&p, s.kernel, s.seed_inputs.clone(), &fuzz_cfg(1));
     let broken = heterogen_core::initial_version(&p, &fr.profile);
 
     let base_sink = JsonlSink::new();
-    let base = repair::repair_traced(
+    let base = repair::repair(
         &p,
         broken.clone(),
         s.kernel,
         &fr.corpus,
         &fr.profile,
         &search_cfg(1),
-        &base_sink,
+        &env().with_sink(&base_sink),
     )
     .unwrap();
     assert!(base.success, "baseline repair failed: {:?}", base.applied);
@@ -456,15 +473,14 @@ fn chaos_poisoned_candidate_is_isolated_and_the_repair_still_lands() {
 
     for threads in [1usize, 4] {
         let sink = JsonlSink::new();
-        let r = repair::repair_resilient(
+        let r = repair::repair(
             &p,
             broken.clone(),
             s.kernel,
             &fr.corpus,
             &fr.profile,
             &search_cfg(threads),
-            &sink,
-            &plan,
+            &env().with_sink(&sink).with_faults(&plan),
         )
         .unwrap();
         assert!(r.success, "chaos run failed @ {threads} threads");
@@ -491,10 +507,12 @@ fn chaos_poisoned_candidate_is_isolated_and_the_repair_still_lands() {
     }
 }
 
-/// Engine invariance, end to end: the bytecode VM and the tree-walking
-/// reference must produce byte-identical `PipelineReport` JSON *and*
-/// byte-identical JSONL trace streams — at one worker thread and at many.
-/// (`ExecEngine` changes wall-clock time only, exactly like `threads`.)
+/// Engine invariance, end to end: a session whose backend runs the bytecode
+/// VM and one whose backend runs the tree-walking reference — fuzzing,
+/// reference runs and candidate simulation alike — must produce
+/// byte-identical `PipelineReport` JSON *and* byte-identical JSONL trace
+/// streams, at one worker thread and at many. (The engine changes
+/// wall-clock time only, exactly like `threads`.)
 #[test]
 fn engine_choice_is_report_and_trace_byte_identical() {
     use heterogen_core::{HeteroGen, JobSpec, PipelineConfig};
@@ -511,10 +529,12 @@ fn engine_choice_is_report_and_trace_byte_identical() {
         let mut cfg = PipelineConfig::quick();
         cfg.fuzz = fuzz_cfg(threads);
         cfg.search = search_cfg(threads);
-        cfg.fuzz.engine = engine;
-        cfg.search.engine = engine;
         let sink = Arc::new(JsonlSink::new());
-        let session = HeteroGen::builder().config(cfg).sink(sink.clone()).build();
+        let session = HeteroGen::builder()
+            .config(cfg)
+            .backend(SimBackend::default_profile().with_engine(engine))
+            .sink(sink.clone())
+            .build();
         let report = session
             .run(JobSpec::fuzz(p.clone(), s.kernel, seeds.clone()))
             .unwrap();
@@ -567,7 +587,10 @@ fn warm_store_is_report_and_trace_byte_identical() {
         cfg.fuzz = fuzz_cfg(threads);
         cfg.search = search_cfg(threads);
         let sink = Arc::new(JsonlSink::new());
-        let mut builder = HeteroGen::builder().config(cfg).sink(sink.clone());
+        let mut builder = HeteroGen::builder()
+            .config(cfg)
+            .backend(backend_under_test())
+            .sink(sink.clone());
         if let Some(store) = store {
             builder = builder.store(store);
         }
@@ -671,7 +694,10 @@ fn mined_tier_is_gated_and_thread_count_invariant() {
         cfg.fuzz = fuzz_cfg(threads);
         cfg.search = search_cfg(threads);
         let sink = Arc::new(JsonlSink::new());
-        let mut builder = HeteroGen::builder().config(cfg).sink(sink.clone());
+        let mut builder = HeteroGen::builder()
+            .config(cfg)
+            .backend(backend_under_test())
+            .sink(sink.clone());
         if let Some(store) = store {
             builder = builder.store(store);
         }
@@ -744,18 +770,18 @@ fn trace_metrics_agree_with_search_stats() {
 
     let s = benchsuite::subject("P6").unwrap();
     let p = s.parse();
-    let fr = testgen::fuzz(&p, s.kernel, s.seed_inputs.clone(), &fuzz_cfg(1)).unwrap();
+    let fr = fuzz(&p, s.kernel, s.seed_inputs.clone(), &fuzz_cfg(1));
     let broken = heterogen_core::initial_version(&p, &fr.profile);
 
     let metrics = MetricsSink::new();
-    let out = repair::repair_traced(
+    let out = repair::repair(
         &p,
         broken,
         s.kernel,
         &fr.corpus,
         &fr.profile,
         &search_cfg(2),
-        &metrics,
+        &env().with_sink(&metrics),
     )
     .unwrap();
 

@@ -2,6 +2,9 @@
 //! HeteroRefactor scope). The heavyweight Figure 9 sweep lives in the
 //! `reproduce` binary; a single-subject ablation is asserted here.
 
+use heterogen_toolchain::{Env, SimBackend};
+use heterogen_trace::NullSink;
+use minic_exec::ExecEngine;
 use repair::SearchConfig;
 
 #[test]
@@ -63,9 +66,25 @@ fn fig8_existing_tests_miss_the_stack_divergence() {
         .unwrap();
     assert!(generated_run.success());
 
-    let tester = repair::DifferentialTester::new(&p, s.kernel, &generated_run.tests, 64).unwrap();
-    let on_existing_output = tester.evaluate(&existing_run.program);
-    let on_generated_output = tester.evaluate(&generated_run.program);
+    let tester = repair::DifferentialTester::with_engine(
+        &p,
+        s.kernel,
+        &generated_run.tests,
+        64,
+        1,
+        ExecEngine::default(),
+    )
+    .unwrap();
+    let on_existing_output = tester.evaluate_with(
+        &SimBackend::default_profile(),
+        &existing_run.program,
+        &NullSink,
+    );
+    let on_generated_output = tester.evaluate_with(
+        &SimBackend::default_profile(),
+        &generated_run.program,
+        &NullSink,
+    );
     assert!(
         on_existing_output.pass_ratio < 1.0,
         "the existing-tests-only output must diverge on deeper inputs (paper: 44% fail)"
@@ -83,14 +102,30 @@ fn checker_ablation_avoids_compilations() {
         .build();
     let mut seeds = s.seed_inputs.clone();
     seeds.extend(s.existing_tests.clone());
-    let fr = testgen::fuzz(&p, s.kernel, seeds, &fuzz_cfg).unwrap();
+    let fr = testgen::fuzz(
+        &p,
+        s.kernel,
+        seeds,
+        &fuzz_cfg,
+        &Env::new(SimBackend::default_profile()),
+    )
+    .unwrap();
     let broken = heterogen_core::initial_version(&p, &fr.profile);
 
     let base = SearchConfig::builder()
         .with_budget_min(180.0)
         .with_max_diff_tests(12)
         .build();
-    let hg = repair::repair(&p, broken.clone(), s.kernel, &fr.corpus, &fr.profile, &base).unwrap();
+    let hg = repair::repair(
+        &p,
+        broken.clone(),
+        s.kernel,
+        &fr.corpus,
+        &fr.profile,
+        &base,
+        &Env::new(SimBackend::default_profile()),
+    )
+    .unwrap();
     let wc = repair::repair(
         &p,
         broken,
@@ -98,6 +133,7 @@ fn checker_ablation_avoids_compilations() {
         &fr.corpus,
         &fr.profile,
         &base.to_builder().with_style_checker(false).build(),
+        &Env::new(SimBackend::default_profile()),
     )
     .unwrap();
     assert!(hg.success && wc.success);
@@ -125,8 +161,16 @@ fn table5_manual_versions_beat_the_cpu_where_the_paper_says() {
         let p = s.parse();
         let manual = s.parse_manual().unwrap();
         let tests: Vec<testgen::TestCase> = s.seed_inputs.clone();
-        let tester = repair::DifferentialTester::new(&p, s.kernel, &tests, 8).unwrap();
-        let r = tester.evaluate(&manual);
+        let tester = repair::DifferentialTester::with_engine(
+            &p,
+            s.kernel,
+            &tests,
+            8,
+            1,
+            ExecEngine::default(),
+        )
+        .unwrap();
+        let r = tester.evaluate_with(&SimBackend::default_profile(), &manual, &NullSink);
         assert_eq!(r.pass_ratio, 1.0, "{id}: manual version diverges");
         assert!(
             r.fpga_latency_ms < tester.cpu_latency_ms(),

@@ -1,6 +1,9 @@
 //! End-to-end pipeline runs on all ten paper subjects (Table 3 shape).
 
 use heterogen_core::{HeteroGen, JobSpec, PipelineConfig, PipelineReport};
+use heterogen_toolchain::SimBackend;
+use heterogen_trace::NullSink;
+use minic_exec::ExecEngine;
 
 fn test_config() -> PipelineConfig {
     let mut cfg = PipelineConfig::quick();
@@ -143,8 +146,16 @@ fn final_programs_preserve_behaviour_on_existing_tests() {
         let s = benchsuite::subject(id).unwrap();
         let p = s.parse();
         let r = run(id);
-        let tester = repair::DifferentialTester::new(&p, s.kernel, &s.existing_tests, 16).unwrap();
-        let report = tester.evaluate(&r.program);
+        let tester = repair::DifferentialTester::with_engine(
+            &p,
+            s.kernel,
+            &s.existing_tests,
+            16,
+            1,
+            ExecEngine::default(),
+        )
+        .unwrap();
+        let report = tester.evaluate_with(&SimBackend::default_profile(), &r.program, &NullSink);
         assert_eq!(
             report.pass_ratio, 1.0,
             "{id}: existing tests diverge on the transpiled program"

@@ -1,7 +1,9 @@
 //! Cross-crate toolchain integration: checker ↔ repair ↔ simulator flows
 //! that no single crate can test alone.
 
-use minic_exec::{ArgValue, Machine, MachineConfig};
+use heterogen_toolchain::{Env, SimBackend};
+use heterogen_trace::NullSink;
+use minic_exec::{ArgValue, ExecEngine, Machine, MachineConfig};
 
 /// A full manual walk of the paper's pipeline stages on a small subject,
 /// asserting the intermediate artifacts at each stage (Figure 1).
@@ -27,7 +29,14 @@ fn figure1_stage_by_stage() {
         .with_idle_stop_min(0.5)
         .with_max_execs(600)
         .build();
-    let fr = testgen::fuzz(&p, "kernel", vec![], &cfg).unwrap();
+    let fr = testgen::fuzz(
+        &p,
+        "kernel",
+        vec![],
+        &cfg,
+        &Env::new(SimBackend::default_profile()),
+    )
+    .unwrap();
     assert!(fr.coverage > 0.8, "coverage {}", fr.coverage);
     assert!(!fr.corpus.is_empty());
 
@@ -56,6 +65,7 @@ fn figure1_stage_by_stage() {
             .with_max_diff_tests(12)
             .with_explore_performance(false)
             .build(),
+        &Env::new(SimBackend::default_profile()),
     )
     .unwrap();
     assert!(out.success, "applied: {:?}", out.applied);
@@ -97,8 +107,16 @@ fn differential_oracle_catches_width_truncation() {
         vec![ArgValue::Int(-90)], // 10 fits in 6 bits → identical
         vec![ArgValue::Int(0)],   // 100 overflows 6 bits → diverges
     ];
-    let tester = repair::DifferentialTester::new(&orig, "kernel", &tests, 8).unwrap();
-    let r = tester.evaluate(&narrowed);
+    let tester = repair::DifferentialTester::with_engine(
+        &orig,
+        "kernel",
+        &tests,
+        8,
+        1,
+        ExecEngine::default(),
+    )
+    .unwrap();
+    let r = tester.evaluate_with(&SimBackend::default_profile(), &narrowed, &NullSink);
     assert!((r.pass_ratio - 0.5).abs() < 1e-9, "pass = {}", r.pass_ratio);
 }
 
