@@ -3,7 +3,7 @@
 //! and the FPGA simulator.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use minic_exec::{Machine, MachineConfig};
+use minic_exec::{ExecEngine, Machine, MachineConfig};
 use std::hint::black_box;
 
 fn bench_interpreter(c: &mut Criterion) {
@@ -42,7 +42,7 @@ fn bench_fpga_sim(c: &mut Criterion) {
     for id in ["P6", "P9"] {
         let s = benchsuite::subject(id).unwrap();
         let manual = s.parse_manual().unwrap();
-        let sim = hls_sim::FpgaSimulator::new(&manual).unwrap();
+        let sim = hls_sim::FpgaSimulator::new(&manual, ExecEngine::default()).unwrap();
         let args = s.seed_inputs[0].clone();
         g.bench_function(id, |b| b.iter(|| sim.run(black_box(&args))));
     }

@@ -405,7 +405,7 @@ impl<'p> Compiler<'p> {
     fn run(mut self) -> Result<CompiledProgram, Unsupported> {
         // Register function definitions first (calls resolve in any order;
         // the first definition of a name wins, like `Program::function`).
-        for item in &self.p.items {
+        for item in self.p.items.iter().map(|i| &**i) {
             if let Item::Function(f) = item {
                 if f.body.is_some() && !self.by_name.contains_key(&f.name) {
                     let idx = self.funcs.len() as u32;
@@ -721,7 +721,7 @@ impl<'p> Compiler<'p> {
 
     fn compile_globals(&mut self) -> Result<(), Unsupported> {
         self.cur_fn = self.name_id("<global>");
-        for item in &self.p.items {
+        for item in self.p.items.iter().map(|i| &**i) {
             match item {
                 Item::Define(name, v) => {
                     let sl = self.new_gslot();

@@ -213,7 +213,7 @@ impl<'p> Machine<'p> {
     }
 
     fn init_globals(&mut self) -> Result<(), ExecError> {
-        for item in &self.program.items {
+        for item in self.program.items.iter().map(|i| &**i) {
             match item {
                 Item::Define(name, v) => {
                     let addr = self.alloc_tracked(1);

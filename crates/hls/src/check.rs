@@ -31,7 +31,7 @@ pub fn check_program(p: &Program) -> Vec<HlsDiagnostic> {
         let is_top = top.as_deref() == Some(f.name.as_str());
         check_function(p, f, is_top, &mut out);
     }
-    for item in &p.items {
+    for item in p.items.iter().map(|i| &**i) {
         match item {
             Item::Global(g) => check_global(p, g, &mut out),
             Item::Struct(s) => check_struct_def(p, s, &mut out),

@@ -209,7 +209,7 @@ pub fn estimate_latency(
     let mut fill = 0.0;
     // Functions and struct methods alike host schedulable loops.
     let mut units: Vec<&Function> = program.functions().collect();
-    for item in &program.items {
+    for item in program.items.iter().map(|i| &**i) {
         if let Item::Struct(sd) = item {
             units.extend(sd.methods.iter().filter(|m| m.body.is_some()));
         }

@@ -34,20 +34,21 @@ pub struct FpgaSimulator<'p> {
 }
 
 impl<'p> FpgaSimulator<'p> {
-    /// Creates a simulator for the program's top function, using the default
-    /// execution engine.
+    /// Creates a simulator for the program's top function on `engine` (both
+    /// engines are observably identical; `TreeWalk` is the reference for
+    /// differential testing).
     ///
     /// # Errors
     ///
     /// Fails when the program has no resolvable top function.
-    pub fn new(program: &'p Program) -> Result<FpgaSimulator<'p>, ExecError> {
+    pub fn new(program: &'p Program, engine: ExecEngine) -> Result<FpgaSimulator<'p>, ExecError> {
         let kernel = program
             .top_function_name()
             .ok_or_else(|| ExecError::setup("no top function in design"))?
             .to_string();
         Ok(FpgaSimulator {
             program,
-            prepared: Prepared::new(ExecEngine::default(), program),
+            prepared: Prepared::new(engine, program),
             model: ScheduleModel::default(),
             kernel,
         })
@@ -56,13 +57,6 @@ impl<'p> FpgaSimulator<'p> {
     /// Overrides the schedule model.
     pub fn with_model(mut self, model: ScheduleModel) -> Self {
         self.model = model;
-        self
-    }
-
-    /// Overrides the execution engine (both engines are observably
-    /// identical; `TreeWalk` is the reference for differential testing).
-    pub fn with_engine(mut self, engine: ExecEngine) -> Self {
-        self.prepared = Prepared::new(engine, self.program);
         self
     }
 
@@ -205,7 +199,7 @@ mod tests {
             "void kernel(int a[4]) { for (int i = 0; i < 4; i++) { a[i] = a[i] + 10; } }",
         )
         .unwrap();
-        let sim = FpgaSimulator::new(&p).unwrap();
+        let sim = FpgaSimulator::new(&p, ExecEngine::default()).unwrap();
         let r = sim.run(&[ArgValue::IntArray(vec![1, 2, 3, 4])]);
         assert!(!r.outcome.trapped);
         assert_eq!(
@@ -236,7 +230,7 @@ mod tests {
         "#,
         )
         .unwrap();
-        let sim = FpgaSimulator::new(&p).unwrap();
+        let sim = FpgaSimulator::new(&p, ExecEngine::default()).unwrap();
         let r = sim.run(&[ArgValue::IntArray(vec![0, 0, 0, 0]), ArgValue::Int(3)]);
         assert!(!r.outcome.trapped);
         // stack[2] wrapped to stack[0]: out = [3, 2, 3(wrap), 0]
@@ -253,7 +247,7 @@ mod tests {
     #[test]
     fn run_all_averages_latency() {
         let p = minic::parse("int kernel(int x) { return x * 2; }").unwrap();
-        let sim = FpgaSimulator::new(&p).unwrap();
+        let sim = FpgaSimulator::new(&p, ExecEngine::default()).unwrap();
         let tests = vec![vec![ArgValue::Int(1)], vec![ArgValue::Int(2)]];
         let (mean, results) = sim.run_all(&tests);
         assert_eq!(results.len(), 2);
@@ -263,13 +257,13 @@ mod tests {
     #[test]
     fn missing_top_is_a_setup_error() {
         let p = minic::parse("void helper(int x) { }").unwrap();
-        assert!(FpgaSimulator::new(&p).is_err());
+        assert!(FpgaSimulator::new(&p, ExecEngine::default()).is_err());
     }
 
     #[test]
     fn run_resilient_with_no_faults_matches_run() {
         let p = minic::parse("int kernel(int x) { return x * 2; }").unwrap();
-        let sim = FpgaSimulator::new(&p).unwrap();
+        let sim = FpgaSimulator::new(&p, ExecEngine::default()).unwrap();
         let args = vec![ArgValue::Int(21)];
         let plain = sim.run(&args);
         let resilient = sim
@@ -281,7 +275,7 @@ mod tests {
     #[test]
     fn survivable_fuel_spike_is_transparent() {
         let p = minic::parse("int kernel(int x) { return x + 1; }").unwrap();
-        let sim = FpgaSimulator::new(&p).unwrap();
+        let sim = FpgaSimulator::new(&p, ExecEngine::default()).unwrap();
         let args = vec![ArgValue::Int(5)];
         // Rate 1.0 fires a fault on every draw; make it a mild spike that a
         // one-expression kernel survives.
@@ -299,7 +293,7 @@ mod tests {
             "int kernel(int n) { int s = 0; for (int i = 0; i < 100000; i++) { s = s + i; } return s + n; }",
         )
         .unwrap();
-        let sim = FpgaSimulator::new(&p).unwrap();
+        let sim = FpgaSimulator::new(&p, ExecEngine::default()).unwrap();
         let args = vec![ArgValue::Int(1)];
         let plan = heterogen_faults::FaultPlan::builder(3)
             .with_fuel_spike_rate(1.0)

@@ -46,7 +46,7 @@ pub fn check_style(p: &Program) -> Vec<StyleViolation> {
         check_function(p, f, &mut out);
     }
     // File-scope pragmas: only `top`/config-like directives make sense.
-    for item in &p.items {
+    for item in p.items.iter().map(|i| &**i) {
         if let Item::Pragma(pr) = item {
             match &pr.kind {
                 PragmaKind::Top { .. } | PragmaKind::Other(_) | PragmaKind::Interface { .. } => {}

@@ -7,6 +7,7 @@
 use crate::token::Span;
 use crate::types::Type;
 use std::fmt;
+use std::sync::Arc;
 
 /// A stable identifier for an AST node within one [`Program`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -500,10 +501,15 @@ impl Default for DesignConfig {
 }
 
 /// A complete translation unit.
+///
+/// Items are reference-counted so a repair candidate can share every item
+/// its edit did not touch with its parent: cloning a `Program` copies only
+/// the item pointers. Writers go through [`Arc::make_mut`], which copies an
+/// item the first time a shared program writes to it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// Items in source order.
-    pub items: Vec<Item>,
+    pub items: Vec<Arc<Item>>,
     /// Design configuration (from `#pragma HLS top …` or set via API).
     pub config: DesignConfig,
     next_id: u32,
@@ -522,7 +528,7 @@ impl Program {
     /// Creates a program with a starting id counter (used by the parser).
     pub fn with_next_id(items: Vec<Item>, config: DesignConfig, next_id: u32) -> Program {
         Program {
-            items,
+            items: items.into_iter().map(Arc::new).collect(),
             config,
             next_id,
         }
@@ -537,7 +543,7 @@ impl Program {
 
     /// Iterates over function definitions (not prototypes).
     pub fn functions(&self) -> impl Iterator<Item = &Function> {
-        self.items.iter().filter_map(|i| match i {
+        self.items.iter().filter_map(|i| match &**i {
             Item::Function(f) if f.body.is_some() => Some(f),
             _ => None,
         })
@@ -548,33 +554,49 @@ impl Program {
         self.functions().find(|f| f.name == name)
     }
 
-    /// Mutable lookup of a function definition by name.
+    /// The items matching `pred`, each unshared for writing through
+    /// [`Arc::make_mut`]; the items it skips stay shared.
+    pub fn items_mut(
+        &mut self,
+        mut pred: impl FnMut(&Item) -> bool,
+    ) -> impl Iterator<Item = &mut Item> {
+        self.items
+            .iter_mut()
+            .filter(move |i| pred(i))
+            .map(Arc::make_mut)
+    }
+
+    /// Mutable lookup of a function definition by name. Only that item is
+    /// unshared from programs this one was cloned from.
     pub fn function_mut(&mut self, name: &str) -> Option<&mut Function> {
-        self.items.iter_mut().find_map(|i| match i {
-            Item::Function(f) if f.name == name && f.body.is_some() => Some(f),
-            _ => None,
-        })
+        self.items_mut(|i| matches!(i, Item::Function(f) if f.name == name && f.body.is_some()))
+            .find_map(|i| match i {
+                Item::Function(f) => Some(f),
+                _ => None,
+            })
     }
 
     /// Looks up a struct/union definition by name.
     pub fn struct_def(&self, name: &str) -> Option<&StructDef> {
-        self.items.iter().find_map(|i| match i {
+        self.items.iter().find_map(|i| match &**i {
             Item::Struct(s) if s.name == name => Some(s),
             _ => None,
         })
     }
 
-    /// Mutable lookup of a struct/union definition.
+    /// Mutable lookup of a struct/union definition. Only that item is
+    /// unshared from programs this one was cloned from.
     pub fn struct_def_mut(&mut self, name: &str) -> Option<&mut StructDef> {
-        self.items.iter_mut().find_map(|i| match i {
-            Item::Struct(s) if s.name == name => Some(s),
-            _ => None,
-        })
+        self.items_mut(|i| matches!(i, Item::Struct(s) if s.name == name))
+            .find_map(|i| match i {
+                Item::Struct(s) => Some(s),
+                _ => None,
+            })
     }
 
     /// Looks up a global variable by name.
     pub fn global(&self, name: &str) -> Option<&VarDecl> {
-        self.items.iter().find_map(|i| match i {
+        self.items.iter().find_map(|i| match &**i {
             Item::Global(g) if g.name == name => Some(g),
             _ => None,
         })
@@ -582,7 +604,7 @@ impl Program {
 
     /// Looks up an integer `#define` constant.
     pub fn define(&self, name: &str) -> Option<i128> {
-        self.items.iter().find_map(|i| match i {
+        self.items.iter().find_map(|i| match &**i {
             Item::Define(n, v) if n == name => Some(*v),
             _ => None,
         })
@@ -590,7 +612,7 @@ impl Program {
 
     /// Resolves a typedef name.
     pub fn typedef(&self, name: &str) -> Option<&Type> {
-        self.items.iter().find_map(|i| match i {
+        self.items.iter().find_map(|i| match &**i {
             Item::Typedef(n, t) if n == name => Some(t),
             _ => None,
         })
@@ -609,37 +631,22 @@ impl Program {
 
     /// Assigns fresh ids to every synthesized node (id == [`NodeId::SYNTH`])
     /// anywhere in the tree. Call after splicing synthesized subtrees.
+    ///
+    /// Only items holding a synthesized node are unshared: a read-only pass
+    /// of the same walk finds them first.
     pub fn renumber_synthesized(&mut self) {
         let mut next = self.next_id;
-        {
-            let mut fix = |id: &mut NodeId| {
-                if *id == NodeId::SYNTH {
-                    *id = NodeId(next);
-                    next += 1;
-                }
-            };
-            for item in &mut self.items {
-                match item {
-                    Item::Function(f) => renumber_function(f, &mut fix),
-                    Item::Struct(s) => {
-                        fix(&mut s.id);
-                        for m in &mut s.methods {
-                            renumber_function(m, &mut fix);
-                        }
-                        if let Some(ctor) = &mut s.ctor {
-                            for (_, e) in &mut ctor.inits {
-                                renumber_expr(e, &mut fix);
-                            }
-                            renumber_block(&mut ctor.body, &mut fix);
-                        }
-                    }
-                    Item::Global(g) => {
-                        if let Some(e) = &mut g.init {
-                            renumber_expr(e, &mut fix);
-                        }
-                    }
-                    _ => {}
-                }
+        let mut fix = |id: &mut NodeId| {
+            if *id == NodeId::SYNTH {
+                *id = NodeId(next);
+                next += 1;
+            }
+        };
+        for item in &mut self.items {
+            let mut synth = false;
+            node_ids::item(item, &mut |id| synth |= *id == NodeId::SYNTH);
+            if synth {
+                node_ids_mut::item(Arc::make_mut(item), &mut fix);
             }
         }
         self.next_id = next;
@@ -652,88 +659,130 @@ impl Default for Program {
     }
 }
 
-fn renumber_function(f: &mut Function, fix: &mut impl FnMut(&mut NodeId)) {
-    fix(&mut f.id);
-    if let Some(b) = &mut f.body {
-        renumber_block(b, fix);
-    }
+/// The node-id walk behind [`Program::renumber_synthesized`], written once
+/// and expanded over shared (`node_ids`) and exclusive (`node_ids_mut`)
+/// references, so the probe that decides which items to unshare visits
+/// exactly the ids, in the order, that the renumbering pass rewrites.
+macro_rules! node_id_walk {
+    ($($m:tt)?) => {
+        use super::*;
+
+        pub(super) fn item(item: &$($m)? Item, fix: &mut impl FnMut(&$($m)? NodeId)) {
+            match item {
+                Item::Function(f) => function(f, fix),
+                Item::Struct(s) => {
+                    fix(&$($m)? s.id);
+                    for m in &$($m)? s.methods {
+                        function(m, fix);
+                    }
+                    if let Some(ctor) = &$($m)? s.ctor {
+                        for (_, e) in &$($m)? ctor.inits {
+                            expr(e, fix);
+                        }
+                        block(&$($m)? ctor.body, fix);
+                    }
+                }
+                Item::Global(g) => {
+                    if let Some(e) = &$($m)? g.init {
+                        expr(e, fix);
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        fn function(f: &$($m)? Function, fix: &mut impl FnMut(&$($m)? NodeId)) {
+            fix(&$($m)? f.id);
+            if let Some(b) = &$($m)? f.body {
+                block(b, fix);
+            }
+        }
+
+        fn block(b: &$($m)? Block, fix: &mut impl FnMut(&$($m)? NodeId)) {
+            for s in &$($m)? b.stmts {
+                stmt(s, fix);
+            }
+        }
+
+        fn stmt(s: &$($m)? Stmt, fix: &mut impl FnMut(&$($m)? NodeId)) {
+            fix(&$($m)? s.id);
+            match &$($m)? s.kind {
+                StmtKind::Decl(d) => {
+                    if let Some(e) = &$($m)? d.init {
+                        expr(e, fix);
+                    }
+                }
+                StmtKind::Expr(e) => expr(e, fix),
+                StmtKind::If(c, t, e) => {
+                    expr(c, fix);
+                    block(t, fix);
+                    if let Some(e) = e {
+                        block(e, fix);
+                    }
+                }
+                StmtKind::While(c, b) => {
+                    expr(c, fix);
+                    block(b, fix);
+                }
+                StmtKind::DoWhile(b, c) => {
+                    block(b, fix);
+                    expr(c, fix);
+                }
+                StmtKind::For(init, cond, step, b) => {
+                    if let Some(i) = init {
+                        stmt(i, fix);
+                    }
+                    if let Some(c) = cond {
+                        expr(c, fix);
+                    }
+                    if let Some(st) = step {
+                        expr(st, fix);
+                    }
+                    block(b, fix);
+                }
+                StmtKind::Return(Some(e)) => expr(e, fix),
+                StmtKind::Block(b) => block(b, fix),
+                _ => {}
+            }
+        }
+
+        fn expr(e: &$($m)? Expr, fix: &mut impl FnMut(&$($m)? NodeId)) {
+            fix(&$($m)? e.id);
+            match &$($m)? e.kind {
+                ExprKind::Unary(_, a) => expr(a, fix),
+                ExprKind::Binary(_, a, b) | ExprKind::Assign(_, a, b) | ExprKind::Index(a, b) => {
+                    expr(a, fix);
+                    expr(b, fix);
+                }
+                ExprKind::Call(_, args) | ExprKind::InitList(args) | ExprKind::StructLit(_, args) => {
+                    for a in args {
+                        expr(a, fix);
+                    }
+                }
+                ExprKind::MethodCall(recv, _, args) => {
+                    expr(recv, fix);
+                    for a in args {
+                        expr(a, fix);
+                    }
+                }
+                ExprKind::Member(a, _, _) | ExprKind::Cast(_, a) => expr(a, fix),
+                ExprKind::Ternary(a, b, c) => {
+                    expr(a, fix);
+                    expr(b, fix);
+                    expr(c, fix);
+                }
+                _ => {}
+            }
+        }
+    };
 }
 
-fn renumber_block(b: &mut Block, fix: &mut impl FnMut(&mut NodeId)) {
-    for s in &mut b.stmts {
-        renumber_stmt(s, fix);
-    }
+mod node_ids {
+    node_id_walk!();
 }
 
-fn renumber_stmt(s: &mut Stmt, fix: &mut impl FnMut(&mut NodeId)) {
-    fix(&mut s.id);
-    match &mut s.kind {
-        StmtKind::Decl(d) => {
-            if let Some(e) = &mut d.init {
-                renumber_expr(e, fix);
-            }
-        }
-        StmtKind::Expr(e) => renumber_expr(e, fix),
-        StmtKind::If(c, t, e) => {
-            renumber_expr(c, fix);
-            renumber_block(t, fix);
-            if let Some(e) = e {
-                renumber_block(e, fix);
-            }
-        }
-        StmtKind::While(c, b) => {
-            renumber_expr(c, fix);
-            renumber_block(b, fix);
-        }
-        StmtKind::DoWhile(b, c) => {
-            renumber_block(b, fix);
-            renumber_expr(c, fix);
-        }
-        StmtKind::For(init, cond, step, b) => {
-            if let Some(i) = init {
-                renumber_stmt(i, fix);
-            }
-            if let Some(c) = cond {
-                renumber_expr(c, fix);
-            }
-            if let Some(st) = step {
-                renumber_expr(st, fix);
-            }
-            renumber_block(b, fix);
-        }
-        StmtKind::Return(Some(e)) => renumber_expr(e, fix),
-        StmtKind::Block(b) => renumber_block(b, fix),
-        _ => {}
-    }
-}
-
-fn renumber_expr(e: &mut Expr, fix: &mut impl FnMut(&mut NodeId)) {
-    fix(&mut e.id);
-    match &mut e.kind {
-        ExprKind::Unary(_, a) => renumber_expr(a, fix),
-        ExprKind::Binary(_, a, b) | ExprKind::Assign(_, a, b) | ExprKind::Index(a, b) => {
-            renumber_expr(a, fix);
-            renumber_expr(b, fix);
-        }
-        ExprKind::Call(_, args) | ExprKind::InitList(args) | ExprKind::StructLit(_, args) => {
-            for a in args {
-                renumber_expr(a, fix);
-            }
-        }
-        ExprKind::MethodCall(recv, _, args) => {
-            renumber_expr(recv, fix);
-            for a in args {
-                renumber_expr(a, fix);
-            }
-        }
-        ExprKind::Member(a, _, _) | ExprKind::Cast(_, a) => renumber_expr(a, fix),
-        ExprKind::Ternary(a, b, c) => {
-            renumber_expr(a, fix);
-            renumber_expr(b, fix);
-            renumber_expr(c, fix);
-        }
-        _ => {}
-    }
+mod node_ids_mut {
+    node_id_walk!(mut);
 }
 
 #[cfg(test)]
@@ -752,14 +801,14 @@ mod tests {
     fn renumber_assigns_ids_to_synthesized_nodes() {
         let mut p = Program::new();
         let body = Block::new(vec![Stmt::synth(StmtKind::Return(Some(Expr::int(1))))]);
-        p.items.push(Item::Function(Function {
+        p.items.push(Arc::new(Item::Function(Function {
             id: NodeId::SYNTH,
             name: "f".into(),
             ret: Type::int(),
             params: vec![],
             body: Some(body),
             is_static: false,
-        }));
+        })));
         p.renumber_synthesized();
         let f = p.function("f").unwrap();
         assert_ne!(f.id, NodeId::SYNTH);
@@ -768,16 +817,53 @@ mod tests {
     }
 
     #[test]
+    fn renumbering_a_shared_clone_matches_a_deep_copy() {
+        let mut p = crate::parse(
+            "int g = 1;\n\
+             struct S { int v; int get() { return v; } };\n\
+             int f(int a) { return a + g; }\n\
+             int h(int a) { return a * 2; }\n\
+             int kernel(int a) { return f(a) + h(a); }",
+        )
+        .unwrap();
+        // Splice synthesized statements into two of the five items without
+        // renumbering them yet.
+        for name in ["f", "kernel"] {
+            let body = p.function_mut(name).unwrap().body.as_mut().unwrap();
+            body.stmts
+                .insert(0, Stmt::synth(StmtKind::Expr(Expr::int(7))));
+        }
+        let mut shared = p.clone();
+        shared.renumber_synthesized();
+        let mut deep = p.clone();
+        deep.items = p.items.iter().map(|i| Arc::new((**i).clone())).collect();
+        deep.renumber_synthesized();
+        assert_eq!(shared, deep);
+        assert_eq!(
+            crate::fingerprint_node_ids(&shared),
+            crate::fingerprint_node_ids(&deep)
+        );
+        // Only the two items holding synthesized nodes were copied, and the
+        // parent still holds its unnumbered nodes.
+        for (a, b) in p.items.iter().zip(&shared.items) {
+            let edited = matches!(&**a, Item::Function(f) if f.name == "f" || f.name == "kernel");
+            assert_eq!(Arc::ptr_eq(a, b), !edited);
+        }
+        let body = p.function("kernel").unwrap().body.as_ref().unwrap();
+        assert_eq!(body.stmts[0].id, NodeId::SYNTH);
+    }
+
+    #[test]
     fn top_function_name_prefers_config() {
         let mut p = Program::new();
-        p.items.push(Item::Function(Function {
+        p.items.push(Arc::new(Item::Function(Function {
             id: NodeId::SYNTH,
             name: "kernel".into(),
             ret: Type::Void,
             params: vec![],
             body: Some(Block::default()),
             is_static: false,
-        }));
+        })));
         assert_eq!(p.top_function_name(), Some("kernel"));
         p.config.top = Some("other".into());
         assert_eq!(p.top_function_name(), Some("other"));

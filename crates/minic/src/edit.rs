@@ -8,6 +8,7 @@
 use crate::ast::*;
 use crate::types::Type;
 use crate::visit;
+use std::sync::Arc;
 
 /// Where a statement insertion is anchored relative to the target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,22 +33,17 @@ pub fn rewrite_decl_type(
 ) -> bool {
     let mut changed = false;
     if in_function.is_none() {
-        for item in &mut p.items {
+        for item in p.items_mut(|i| matches!(i, Item::Global(g) if g.name == var)) {
             if let Item::Global(g) = item {
-                if g.name == var {
-                    g.ty = new_ty.clone();
-                    changed = true;
-                }
+                g.ty = new_ty.clone();
+                changed = true;
             }
         }
     }
-    for item in &mut p.items {
+    let in_scope =
+        |i: &Item| matches!(i, Item::Function(f) if in_function.is_none_or(|t| f.name == t));
+    for item in p.items_mut(in_scope) {
         if let Item::Function(f) = item {
-            if let Some(target) = in_function {
-                if f.name != target {
-                    continue;
-                }
-            }
             for par in &mut f.params {
                 if par.name == var {
                     par.ty = new_ty.clone();
@@ -144,15 +140,15 @@ pub fn add_global(p: &mut Program, decl: VarDecl) {
     let idx = p
         .items
         .iter()
-        .position(|i| matches!(i, Item::Function(_)))
+        .position(|i| matches!(**i, Item::Function(_)))
         .unwrap_or(p.items.len());
-    p.items.insert(idx, Item::Global(decl));
+    p.items.insert(idx, Arc::new(Item::Global(decl)));
     p.renumber_synthesized();
 }
 
 /// Adds a function definition at the end of the program.
 pub fn add_function(p: &mut Program, f: Function) {
-    p.items.push(Item::Function(f));
+    p.items.push(Arc::new(Item::Function(f)));
     p.renumber_synthesized();
 }
 
@@ -173,12 +169,10 @@ pub fn rename_calls(p: &mut Program, old: &str, new: &str) -> usize {
 /// Renames a function definition and all of its call sites.
 pub fn rename_function(p: &mut Program, old: &str, new: &str) -> bool {
     let mut found = false;
-    for item in &mut p.items {
+    for item in p.items_mut(|i| matches!(i, Item::Function(f) if f.name == old)) {
         if let Item::Function(f) = item {
-            if f.name == old {
-                f.name = new.to_string();
-                found = true;
-            }
+            f.name = new.to_string();
+            found = true;
         }
     }
     if found {

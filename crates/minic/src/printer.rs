@@ -19,7 +19,7 @@ use std::fmt::Write;
 /// ```
 pub fn print_program(p: &Program) -> String {
     let mut out = String::new();
-    for item in &p.items {
+    for item in p.items.iter().map(|i| &**i) {
         match item {
             Item::Include(path) => {
                 let _ = writeln!(out, "#include {path}");

@@ -66,7 +66,7 @@ pub fn check(p: &Program) -> TypeInfo {
         scopes: Vec::new(),
         current_struct: None,
     };
-    for item in &p.items {
+    for item in p.items.iter().map(|i| &**i) {
         match item {
             Item::Function(f) => cx.check_function(f),
             Item::Struct(s) => {
@@ -148,7 +148,7 @@ pub fn self_containing_structs(p: &Program) -> Vec<TypeError> {
             .unwrap_or_default()
     };
     let mut errors = Vec::new();
-    for item in &p.items {
+    for item in p.items.iter().map(|i| &**i) {
         let Item::Struct(root) = item else { continue };
         let mut seen: Vec<String> = Vec::new();
         let mut stack = edges(&root.name);
@@ -362,7 +362,7 @@ impl<'a> Checker<'a> {
                     return self.resolve(&f.ret);
                 }
                 // Prototypes (body-less declarations).
-                for item in &self.program.items {
+                for item in self.program.items.iter().map(|i| &**i) {
                     if let Item::Function(f) = item {
                         if f.name == *name {
                             return self.resolve(&f.ret.clone());
@@ -550,7 +550,7 @@ pub fn long_double_decls(p: &Program) -> Vec<String> {
         }
     }
     let mut out = Vec::new();
-    for item in &p.items {
+    for item in p.items.iter().map(|i| &**i) {
         if let Item::Global(g) = item {
             if contains_ld(&g.ty) {
                 out.push(g.name.clone());

@@ -3,6 +3,10 @@
 //! The repair templates are expressed as closures over these walkers rather
 //! than as a heavyweight visitor trait: each template typically needs "every
 //! expression", "every statement (with mutation)", or "every declared type".
+//!
+//! The whole-program mutable walkers (`visit_*_mut`) unshare every item of
+//! the program they walk; an edit that writes one item should reach it
+//! through [`Program::function_mut`] or [`Program::items_mut`] instead.
 
 use crate::ast::*;
 use crate::types::Type;
@@ -10,7 +14,7 @@ use crate::types::Type;
 /// Visits every expression in the program (including struct methods,
 /// constructors and global initializers), outermost first.
 pub fn visit_exprs(p: &Program, f: &mut dyn FnMut(&Expr)) {
-    for item in &p.items {
+    for item in p.items.iter().map(|i| &**i) {
         match item {
             Item::Function(func) => visit_function_exprs(func, f),
             Item::Struct(s) => {
@@ -47,7 +51,7 @@ pub fn visit_function_exprs(func: &Function, f: &mut dyn FnMut(&Expr)) {
 
 /// Mutable variant of [`visit_exprs`].
 pub fn visit_exprs_mut(p: &mut Program, f: &mut dyn FnMut(&mut Expr)) {
-    for item in &mut p.items {
+    for item in p.items_mut(|_| true) {
         match item {
             Item::Function(func) => {
                 if let Some(b) = &mut func.body {
@@ -85,7 +89,7 @@ pub fn visit_exprs_mut(p: &mut Program, f: &mut dyn FnMut(&mut Expr)) {
 
 /// Visits every statement in the program, outermost first.
 pub fn visit_stmts(p: &Program, f: &mut dyn FnMut(&Stmt)) {
-    for item in &p.items {
+    for item in p.items.iter().map(|i| &**i) {
         match item {
             Item::Function(func) => {
                 if let Some(b) = &func.body {
@@ -111,7 +115,7 @@ pub fn visit_stmts(p: &Program, f: &mut dyn FnMut(&Stmt)) {
 /// Visits every block in the program (function bodies and nested blocks),
 /// with mutation. The callback may insert/remove statements.
 pub fn visit_blocks_mut(p: &mut Program, f: &mut dyn FnMut(&mut Block)) {
-    for item in &mut p.items {
+    for item in p.items_mut(|_| true) {
         match item {
             Item::Function(func) => {
                 if let Some(b) = &mut func.body {
@@ -136,7 +140,7 @@ pub fn visit_blocks_mut(p: &mut Program, f: &mut dyn FnMut(&mut Block)) {
 /// Visits every declared type in the program with mutation: globals, locals,
 /// parameters, returns, fields, typedefs and cast targets.
 pub fn visit_types_mut(p: &mut Program, f: &mut dyn FnMut(&mut Type)) {
-    for item in &mut p.items {
+    for item in p.items_mut(|_| true) {
         match item {
             Item::Function(func) => visit_function_types_mut(func, f),
             Item::Struct(s) => {
@@ -241,7 +245,9 @@ pub fn walk_stmt(s: &Stmt, f: &mut dyn FnMut(&Stmt)) {
     }
 }
 
-fn walk_block_mut(b: &mut Block, f: &mut dyn FnMut(&mut Block)) {
+/// Walks one block and its nested blocks with mutation, outermost first
+/// (the per-block walk of [`visit_blocks_mut`]).
+pub fn walk_block_mut(b: &mut Block, f: &mut dyn FnMut(&mut Block)) {
     f(b);
     for s in &mut b.stmts {
         match &mut s.kind {

@@ -48,7 +48,7 @@ pub fn candidate_edits(p: &Program, diags: &[HlsDiagnostic], profile: &Profile) 
 /// finitization edit can be doubled (the §6.2 divergence fix).
 pub fn resize_edits(p: &Program) -> Vec<RepairEdit> {
     let mut out = Vec::new();
-    for item in &p.items {
+    for item in p.items.iter().map(|i| &**i) {
         if let Item::Define(name, _) = item {
             if name.ends_with("_STACK_SIZE") || name.ends_with("_ARR_SIZE") {
                 out.push(RepairEdit::Resize {

@@ -1445,7 +1445,7 @@ fn random_noise_edits(p: &Program, rng: &mut SmallRng, n: usize) -> Vec<RepairEd
                     let defines: Vec<String> = p
                         .items
                         .iter()
-                        .filter_map(|i| match i {
+                        .filter_map(|i| match &**i {
                             minic::ast::Item::Define(n, _) => Some(n.clone()),
                             _ => None,
                         })

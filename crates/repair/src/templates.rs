@@ -11,6 +11,7 @@ use crate::{xform_pointer, xform_stack, xform_struct};
 use minic::ast::*;
 use minic::types::Type;
 use minic::visit;
+use std::sync::Arc;
 
 /// What a `resize` edit scales.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -457,20 +458,22 @@ impl RepairEdit {
                 // Keep the file-level configuration pragma in sync so the
                 // printed source reflects the design config.
                 let mut updated = false;
-                for item in &mut out.items {
+                let is_top = |i: &Item| match i {
+                    Item::Pragma(pr) => matches!(pr.kind, PragmaKind::Top { .. }),
+                    _ => false,
+                };
+                for item in out.items_mut(is_top) {
                     if let Item::Pragma(pr) = item {
-                        if let PragmaKind::Top { name: n } = &mut pr.kind {
-                            *n = name.clone();
-                            updated = true;
-                        }
+                        pr.kind = PragmaKind::Top { name: name.clone() };
+                        updated = true;
                     }
                 }
                 if !updated {
                     out.items.insert(
                         0,
-                        Item::Pragma(Pragma {
+                        Arc::new(Item::Pragma(Pragma {
                             kind: PragmaKind::Top { name: name.clone() },
-                        }),
+                        })),
                     );
                 }
                 Some(out)
@@ -482,13 +485,15 @@ impl RepairEdit {
                 let mut out = p.clone();
                 out.config.clock_mhz = out.config.clock_mhz.clamp(50.0, 800.0);
                 let clock = out.config.clock_mhz;
-                for item in &mut out.items {
+                let is_clock = |i: &Item| match i {
+                    Item::Pragma(pr) => {
+                        matches!(&pr.kind, PragmaKind::Other(raw) if raw.contains("clock="))
+                    }
+                    _ => false,
+                };
+                for item in out.items_mut(is_clock) {
                     if let Item::Pragma(pr) = item {
-                        if let PragmaKind::Other(raw) = &mut pr.kind {
-                            if raw.contains("clock=") {
-                                *raw = format!("config clock={clock}");
-                            }
-                        }
+                        pr.kind = PragmaKind::Other(format!("config clock={clock}"));
                     }
                 }
                 Some(out)
@@ -537,11 +542,9 @@ fn resize(p: &Program, target: &ResizeTarget, factor: u64) -> Option<Program> {
     let ResizeTarget::Define(name) = target;
     let old = p.define(name)?;
     let mut out = p.clone();
-    for item in &mut out.items {
-        if let Item::Define(n, v) = item {
-            if n == name {
-                *v = old * factor.max(2) as i128;
-            }
+    for item in out.items_mut(|i| matches!(i, Item::Define(n, _) if n == name)) {
+        if let Item::Define(_, v) = item {
+            *v = old * factor.max(2) as i128;
         }
     }
     Some(out)
@@ -640,7 +643,7 @@ fn op_overload(p: &Program, var: &str, function: Option<&str>) -> Option<Program
         return None;
     }
     let float_ty = Type::FpgaFloat { exp, mant };
-    out.items.push(Item::Function(Function {
+    out.items.push(Arc::new(Item::Function(Function {
         id: NodeId::SYNTH,
         name: fname,
         ret: float_ty.clone(),
@@ -660,7 +663,7 @@ fn op_overload(p: &Program, var: &str, function: Option<&str>) -> Option<Program
             Expr::bin(BinOp::Add, Expr::ident("a"), Expr::ident("b")),
         )))])),
         is_static: false,
-    }));
+    })));
     out.renumber_synthesized();
     Some(out)
 }
@@ -683,9 +686,6 @@ fn insert_pragma(
     pragma: &PragmaKind,
 ) -> Option<Program> {
     let f = p.function(function)?;
-    let stmt = Stmt::synth(StmtKind::Pragma(Pragma {
-        kind: pragma.clone(),
-    }));
     match loop_index {
         None => {
             // Function-body head. Refuse duplicates of the same kind.
@@ -699,38 +699,15 @@ fn insert_pragma(
             }
             let mut out = p.clone();
             let g = out.function_mut(function)?;
-            g.body.as_mut()?.stmts.insert(0, stmt);
+            g.body.as_mut()?.stmts.insert(0, pragma_stmt(pragma));
             out.renumber_synthesized();
             Some(out)
         }
         Some(idx) => {
-            let loops = hls_sim::check::collect_loops(p, f);
-            let target = loops.get(idx)?.id;
+            let target = hls_sim::check::collect_loops(p, f).get(idx)?.id;
             let mut out = p.clone();
-            let mut done = false;
-            minic::visit::visit_blocks_mut(&mut out, &mut |b| {
-                if done {
-                    return;
-                }
-                for s in &mut b.stmts {
-                    if s.id != target {
-                        continue;
-                    }
-                    if let StmtKind::While(_, body)
-                    | StmtKind::DoWhile(body, _)
-                    | StmtKind::For(_, _, _, body) = &mut s.kind
-                    {
-                        if body.stmts.iter().any(|s| {
-                            matches!(&s.kind, StmtKind::Pragma(pr) if same_kind(&pr.kind, pragma))
-                        }) {
-                            return;
-                        }
-                        body.stmts.insert(0, stmt.clone());
-                        done = true;
-                    }
-                }
-            });
-            if !done {
+            let body = out.function_mut(function)?.body.as_mut()?;
+            if !insert_at_loop_head(body, target, pragma) {
                 return None;
             }
             out.renumber_synthesized();
@@ -750,12 +727,32 @@ fn insert_pragma_in_method(
     let m = def.method(method)?;
     let loops = hls_sim::check::collect_loops(p, m);
     let target = loops.get(loop_index)?.id;
-    let stmt = Stmt::synth(StmtKind::Pragma(Pragma {
-        kind: pragma.clone(),
-    }));
     let mut out = p.clone();
+    let methods = &mut out.struct_def_mut(struct_name)?.methods;
+    let body = methods
+        .iter_mut()
+        .find(|m| m.name == method)?
+        .body
+        .as_mut()?;
+    if !insert_at_loop_head(body, target, pragma) {
+        return None;
+    }
+    out.renumber_synthesized();
+    Some(out)
+}
+
+fn pragma_stmt(pragma: &PragmaKind) -> Stmt {
+    Stmt::synth(StmtKind::Pragma(Pragma {
+        kind: pragma.clone(),
+    }))
+}
+
+/// Inserts `pragma` at the head of the body of loop `target` within `body`,
+/// unless that loop already carries a pragma of the same directive family.
+/// Returns whether it was inserted.
+fn insert_at_loop_head(body: &mut Block, target: NodeId, pragma: &PragmaKind) -> bool {
     let mut done = false;
-    minic::visit::visit_blocks_mut(&mut out, &mut |b| {
+    minic::visit::walk_block_mut(body, &mut |b| {
         if done {
             return;
         }
@@ -774,16 +771,12 @@ fn insert_pragma_in_method(
                 {
                     return;
                 }
-                body.stmts.insert(0, stmt.clone());
+                body.stmts.insert(0, pragma_stmt(pragma));
                 done = true;
             }
         }
     });
-    if !done {
-        return None;
-    }
-    out.renumber_synthesized();
-    Some(out)
+    done
 }
 
 /// Whether two pragmas belong to the same directive family.
@@ -811,17 +804,23 @@ fn delete_pragma(p: &Program, function: &str, kind: &str) -> Option<Program> {
     let mut out = p.clone();
     let mut removed = false;
     // Only inside the requested function.
-    for item in &mut out.items {
-        if let Item::Function(f) = item {
-            if f.name != function {
-                continue;
-            }
-            if let Some(body) = &mut f.body {
-                remove_pragmas_in_block(body, kind, &mut removed);
-            }
-        }
+    for body in definition_bodies_mut(&mut out, function) {
+        remove_pragmas_in_block(body, kind, &mut removed);
     }
     removed.then_some(out)
+}
+
+/// The body of every definition named `function`, each unshared for
+/// writing; every other item stays shared with the parent program.
+fn definition_bodies_mut<'a>(
+    p: &'a mut Program,
+    function: &'a str,
+) -> impl Iterator<Item = &'a mut Block> {
+    p.items_mut(move |i| matches!(i, Item::Function(f) if f.name == function && f.body.is_some()))
+        .filter_map(|i| match i {
+            Item::Function(f) => f.body.as_mut(),
+            _ => None,
+        })
 }
 
 fn remove_pragmas_in_block(b: &mut Block, kind: &str, removed: &mut bool) {
@@ -862,15 +861,8 @@ fn replace_pragma_factor(
     p.function(function)?;
     let mut out = p.clone();
     let mut changed = false;
-    for item in &mut out.items {
-        if let Item::Function(f) = item {
-            if f.name != function {
-                continue;
-            }
-            if let Some(body) = &mut f.body {
-                replace_factor_in_block(body, kind, var, value, &mut changed);
-            }
-        }
+    for body in definition_bodies_mut(&mut out, function) {
+        replace_factor_in_block(body, kind, var, value, &mut changed);
     }
     changed.then_some(out)
 }
@@ -1248,6 +1240,8 @@ mod tests {
         let q = e.apply(&p).unwrap();
         let src = minic::print_program(&q);
         assert!(src.contains("pipeline II=1"), "{src}");
+        // Only the struct was copied; `kernel` is still the parent's.
+        assert_shares_all_but(&p, &q, |i| matches!(i, Item::Struct(_)));
         // Duplicate insert refused.
         assert!(e.apply(&q).is_none());
         // Missing method refused.
@@ -1294,5 +1288,101 @@ mod tests {
         let q = RepairEdit::FixClock.apply(&p).unwrap();
         assert!(hls_sim::check_program(&q).is_empty());
         assert!(RepairEdit::FixClock.apply(&q).is_none());
+    }
+
+    /// The profile the localizer sizes its edits from: the subject's seed
+    /// inputs run on the CPU.
+    fn seed_profile(s: &benchsuite::Subject, p: &Program) -> minic_exec::Profile {
+        let mut m = minic_exec::Machine::new(p, minic_exec::MachineConfig::cpu()).unwrap();
+        for args in &s.seed_inputs {
+            m.run_kernel(s.kernel, args);
+        }
+        m.profile.clone()
+    }
+
+    /// Applies every edit the search can propose for `p` (fix, resize and
+    /// performance edits), checks that `p` prints, fingerprints and is
+    /// labeled exactly as before, and returns the children.
+    fn apply_all(id: &str, p: &Program, profile: &minic_exec::Profile) -> Vec<Program> {
+        let before = (
+            minic::print_program(p),
+            minic::fingerprint_program(p),
+            minic::fingerprint_node_ids(p),
+        );
+        let mut edits = crate::localize::candidate_edits(p, &hls_sim::check_program(p), profile);
+        edits.extend(crate::localize::resize_edits(p));
+        edits.extend(crate::search::performance_edits(p));
+        let children: Vec<Program> = edits.iter().filter_map(|e| e.apply(p)).collect();
+        let after = (
+            minic::print_program(p),
+            minic::fingerprint_program(p),
+            minic::fingerprint_node_ids(p),
+        );
+        assert!(before == after, "{id}: an edit changed its parent");
+        children
+    }
+
+    #[test]
+    fn edits_never_change_their_parent() {
+        for s in benchsuite::subjects() {
+            let p = s.parse();
+            let profile = seed_profile(&s, &p);
+            for child in apply_all(s.id, &p, &profile) {
+                apply_all(s.id, &child, &profile);
+            }
+        }
+    }
+
+    /// Asserts that `child` holds the very same item allocations as
+    /// `parent`, except the items `edited` selects, which it must have
+    /// copied.
+    fn assert_shares_all_but(parent: &Program, child: &Program, edited: impl Fn(&Item) -> bool) {
+        assert_eq!(parent.items.len(), child.items.len());
+        for (k, (a, b)) in parent.items.iter().zip(&child.items).enumerate() {
+            assert_eq!(Arc::ptr_eq(a, b), !edited(a), "sharing of item {k}");
+        }
+    }
+
+    #[test]
+    fn pragma_edits_copy_only_the_edited_function() {
+        let mut checked = [0usize; 3];
+        for s in benchsuite::subjects() {
+            let p = s.parse();
+            for e in crate::search::performance_edits(&p) {
+                let Some(child) = e.apply(&p) else { continue };
+                let RepairEdit::InsertPragma {
+                    function, pragma, ..
+                } = &e
+                else {
+                    continue;
+                };
+                let is_edited = |i: &Item| matches!(i, Item::Function(f) if f.name == *function);
+                assert_shares_all_but(&p, &child, is_edited);
+                checked[0] += 1;
+
+                let kind = pragma_kind_name(pragma).to_string();
+                let delete = RepairEdit::DeletePragma {
+                    function: function.clone(),
+                    kind: kind.clone(),
+                };
+                let deleted = delete
+                    .apply(&child)
+                    .expect("the inserted pragma is deletable");
+                assert_shares_all_but(&child, &deleted, is_edited);
+                checked[1] += 1;
+
+                let replace = RepairEdit::ReplacePragmaFactor {
+                    function: function.clone(),
+                    kind,
+                    var: None,
+                    value: 3,
+                };
+                if let Some(replaced) = replace.apply(&child) {
+                    assert_shares_all_but(&child, &replaced, is_edited);
+                    checked[2] += 1;
+                }
+            }
+        }
+        assert!(checked.iter().all(|&n| n > 0), "coverage {checked:?}");
     }
 }

@@ -10,6 +10,7 @@ use minic::ast::*;
 use minic::typeck;
 use minic::types::Type;
 use minic::visit;
+use std::sync::Arc;
 
 /// Applies the transform for one struct type. Returns `None` when the
 /// program has no `S*` usage to rewrite.
@@ -94,7 +95,7 @@ pub fn pointer_to_index(p: &Program, struct_name: &str, capacity: u64) -> Option
     let insert_at = out
         .items
         .iter()
-        .position(|i| matches!(i, Item::Struct(s) if s.name == struct_name))
+        .position(|i| matches!(&**i, Item::Struct(s) if s.name == struct_name))
         .map(|i| i + 1)
         .unwrap_or(0);
     let defs = vec![
@@ -160,7 +161,7 @@ pub fn pointer_to_index(p: &Program, struct_name: &str, capacity: u64) -> Option
         }),
     ];
     for (k, item) in defs.into_iter().enumerate() {
-        out.items.insert(insert_at + k, item);
+        out.items.insert(insert_at + k, Arc::new(item));
     }
     out.renumber_synthesized();
     Some(out)

@@ -13,6 +13,7 @@ use minic::ast::*;
 use minic::types::Type;
 use minic::visit;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Applies the transform to one function. Returns `None` when the function
 /// is not a supported shape (non-void, not recursive, or recursive calls
@@ -270,14 +271,16 @@ pub fn stack_trans(p: &Program, function: &str, capacity: u64) -> Option<Program
 
     // Splice everything into a fresh program.
     let mut out = p.clone();
-    let fpos = out
-        .items
-        .iter()
-        .position(|i| matches!(i, Item::Function(g) if g.name == function && g.body.is_some()))?;
+    let fpos = out.items.iter().position(
+        |i| matches!(&**i, Item::Function(g) if g.name == function && g.body.is_some()),
+    )?;
+    out.items.insert(
+        fpos,
+        Arc::new(Item::Define(cap_def, capacity.max(4) as i128)),
+    );
     out.items
-        .insert(fpos, Item::Define(cap_def, capacity.max(4) as i128));
-    out.items.insert(fpos + 1, Item::Struct(frame_def));
-    if let Item::Function(g) = &mut out.items[fpos + 2] {
+        .insert(fpos + 1, Arc::new(Item::Struct(frame_def)));
+    if let Item::Function(g) = Arc::make_mut(&mut out.items[fpos + 2]) {
         g.body = Some(Block::new(driver));
     }
     out.renumber_synthesized();

@@ -3,6 +3,7 @@
 
 use minic::ast::*;
 use minic::visit;
+use std::sync::Arc;
 
 /// Inserts an explicit constructor into a struct (edit ➊ of Figure 7a):
 /// one parameter per field, each forwarded by a member initializer.
@@ -64,14 +65,14 @@ pub fn flatten(p: &Program, struct_name: &str) -> Option<Program> {
         if let Some(b) = &mut body {
             rewrite_sibling_calls(b, &def);
         }
-        out.items.push(Item::Function(Function {
+        out.items.push(Arc::new(Item::Function(Function {
             id: NodeId::SYNTH,
             name: format!("{struct_name}_{}", m.name),
             ret: m.ret.clone(),
             params,
             body,
             is_static: false,
-        }));
+        })));
     }
     let def_mut = out.struct_def_mut(struct_name)?;
     def_mut.methods.clear();

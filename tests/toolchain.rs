@@ -141,7 +141,7 @@ fn stream_kernels_run_on_both_sides() {
     ];
     let mut cpu = Machine::new(&p, MachineConfig::cpu()).unwrap();
     let a = cpu.run_kernel("kernel", &args);
-    let sim = hls_sim::FpgaSimulator::new(&p).unwrap();
+    let sim = hls_sim::FpgaSimulator::new(&p, ExecEngine::default()).unwrap();
     let b = sim.run(&args);
     assert!(a.behaviour_eq(&b.outcome));
     let prefix: Vec<i128> = b.outcome.streams[1]
