@@ -49,7 +49,7 @@ struct CommonOpts {
 impl CommonOpts {
     fn parse(args: &[String]) -> CommonOpts {
         CommonOpts {
-            subcommand: args.first().cloned().unwrap_or_else(|| "all".to_string()),
+            subcommand: args.first().cloned().unwrap_or_default(),
             subject: args.get(1).filter(|a| !a.starts_with("--")).cloned(),
             backend: flag_value(args, "--backend"),
             threads: flag_value(args, "--threads").and_then(|v| v.parse().ok()),
@@ -169,6 +169,11 @@ fn open_store_at(dir: impl AsRef<Path>) -> Arc<Store> {
     }
 }
 
+/// Every subcommand, as listed in usage errors.
+const SUBCOMMANDS: &str = "fig3 table1 table2 table3 table4 table5 fig8 fig9 ablation-seed \
+     ablation-bitwidth bench-repair run trace toolchain bench-guard chaos serve loadgen store \
+     mine summary all";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = CommonOpts::parse(&args);
@@ -252,8 +257,13 @@ fn main() {
             run_bench_repair(&opts);
             run_summary(&bundle);
         }
+        // No subcommand lands here too: `all` rewrites the committed
+        // BENCH_repair.json, so it is never run by default.
         other => {
-            eprintln!("unknown experiment `{other}`; expected one of: fig3 table1 table2 table3 table4 table5 fig8 fig9 ablation-seed ablation-bitwidth bench-repair run trace toolchain bench-guard chaos serve loadgen store mine summary all");
+            if !other.is_empty() {
+                eprintln!("unknown experiment `{other}`");
+            }
+            eprintln!("usage: reproduce <subcommand> [options]\nsubcommands: {SUBCOMMANDS}");
             std::process::exit(2);
         }
     }

@@ -1581,7 +1581,7 @@ fn has_runtime_extent(t: &Type) -> bool {
 }
 
 fn block_has_goto(b: &Block) -> bool {
-    b.stmts.iter().any(stmt_has_goto)
+    b.stmts.iter().any(|s| stmt_has_goto(s))
 }
 
 fn stmt_has_goto(s: &Stmt) -> bool {

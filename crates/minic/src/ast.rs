@@ -312,16 +312,24 @@ impl fmt::Display for Pragma {
 }
 
 /// A `{ … }` block of statements.
+///
+/// Statements are reference-counted one level below [`Program::items`]:
+/// cloning a block copies only the statement pointers, so a candidate that
+/// edits one loop shares every other statement with its parent. Writers go
+/// through [`Arc::make_mut`], which copies a statement the first time a
+/// shared block writes to it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Block {
     /// The statements in order.
-    pub stmts: Vec<Stmt>,
+    pub stmts: Vec<Arc<Stmt>>,
 }
 
 impl Block {
     /// Creates a block from statements.
     pub fn new(stmts: Vec<Stmt>) -> Block {
-        Block { stmts }
+        Block {
+            stmts: stmts.into_iter().map(Arc::new).collect(),
+        }
     }
 }
 
@@ -632,8 +640,8 @@ impl Program {
     /// Assigns fresh ids to every synthesized node (id == [`NodeId::SYNTH`])
     /// anywhere in the tree. Call after splicing synthesized subtrees.
     ///
-    /// Only items holding a synthesized node are unshared: a read-only pass
-    /// of the same walk finds them first.
+    /// Only the items and statements holding a synthesized node are
+    /// unshared: a read-only pass of the same walk finds them first.
     pub fn renumber_synthesized(&mut self) {
         let mut next = self.next_id;
         let mut fix = |id: &mut NodeId| {
@@ -661,8 +669,10 @@ impl Default for Program {
 
 /// The node-id walk behind [`Program::renumber_synthesized`], written once
 /// and expanded over shared (`node_ids`) and exclusive (`node_ids_mut`)
-/// references, so the probe that decides which items to unshare visits
-/// exactly the ids, in the order, that the renumbering pass rewrites.
+/// references, so the probe that decides which items and statements to
+/// unshare visits exactly the ids, in the order, that the renumbering pass
+/// rewrites. Each expansion supplies `enter`, which decides whether (and
+/// through which reference) a block's statement is walked.
 macro_rules! node_id_walk {
     ($($m:tt)?) => {
         use super::*;
@@ -700,11 +710,13 @@ macro_rules! node_id_walk {
 
         fn block(b: &$($m)? Block, fix: &mut impl FnMut(&$($m)? NodeId)) {
             for s in &$($m)? b.stmts {
-                stmt(s, fix);
+                if let Some(s) = enter(s) {
+                    stmt(s, fix);
+                }
             }
         }
 
-        fn stmt(s: &$($m)? Stmt, fix: &mut impl FnMut(&$($m)? NodeId)) {
+        pub(super) fn stmt(s: &$($m)? Stmt, fix: &mut impl FnMut(&$($m)? NodeId)) {
             fix(&$($m)? s.id);
             match &$($m)? s.kind {
                 StmtKind::Decl(d) => {
@@ -779,10 +791,23 @@ macro_rules! node_id_walk {
 
 mod node_ids {
     node_id_walk!();
+
+    /// The probe walks every statement.
+    fn enter(s: &Arc<Stmt>) -> Option<&Stmt> {
+        Some(s)
+    }
 }
 
 mod node_ids_mut {
     node_id_walk!(mut);
+
+    /// The renumbering walks, and unshares, only the statements that hold a
+    /// synthesized node: the others hold no id it would rewrite.
+    fn enter(s: &mut Arc<Stmt>) -> Option<&mut Stmt> {
+        let mut synth = false;
+        super::node_ids::stmt(s, &mut |id| synth |= *id == NodeId::SYNTH);
+        synth.then(|| Arc::make_mut(s))
+    }
 }
 
 #[cfg(test)]
@@ -816,6 +841,42 @@ mod tests {
         assert_ne!(ret.id, NodeId::SYNTH);
     }
 
+    /// Every block-level statement of the program's functions and
+    /// methods, outermost first.
+    fn block_stmts(p: &Program) -> Vec<&Arc<Stmt>> {
+        fn block<'a>(b: &'a Block, out: &mut Vec<&'a Arc<Stmt>>) {
+            for s in &b.stmts {
+                out.push(s);
+                match &s.kind {
+                    StmtKind::If(_, t, e) => {
+                        block(t, out);
+                        if let Some(e) = e {
+                            block(e, out);
+                        }
+                    }
+                    StmtKind::While(_, b)
+                    | StmtKind::DoWhile(b, _)
+                    | StmtKind::For(_, _, _, b)
+                    | StmtKind::Block(b) => block(b, out),
+                    _ => {}
+                }
+            }
+        }
+        let mut out = Vec::new();
+        for item in &p.items {
+            match &**item {
+                Item::Function(f) => f.body.iter().for_each(|b| block(b, &mut out)),
+                Item::Struct(s) => {
+                    for m in &s.methods {
+                        m.body.iter().for_each(|b| block(b, &mut out));
+                    }
+                }
+                _ => {}
+            }
+        }
+        out
+    }
+
     #[test]
     fn renumbering_a_shared_clone_matches_a_deep_copy() {
         let mut p = crate::parse(
@@ -823,20 +884,39 @@ mod tests {
              struct S { int v; int get() { return v; } };\n\
              int f(int a) { return a + g; }\n\
              int h(int a) { return a * 2; }\n\
-             int kernel(int a) { return f(a) + h(a); }",
+             int kernel(int a) {\n\
+                 int s = 0;\n\
+                 for (int i = 0; i < a; i++) { s += i; if (s > 9) { s = 9; } }\n\
+                 while (s > 0) { s--; }\n\
+                 return f(s) + h(a);\n\
+             }",
         )
         .unwrap();
         // Splice synthesized statements into two of the five items without
-        // renumbering them yet.
-        for name in ["f", "kernel"] {
-            let body = p.function_mut(name).unwrap().body.as_mut().unwrap();
-            body.stmts
-                .insert(0, Stmt::synth(StmtKind::Expr(Expr::int(7))));
-        }
+        // renumbering them yet: at the head of `f`, and inside the `if`
+        // nested in `kernel`'s loop.
+        let synth = || Arc::new(Stmt::synth(StmtKind::Expr(Expr::int(7))));
+        let f = p.function_mut("f").unwrap().body.as_mut().unwrap();
+        f.stmts.insert(0, synth());
+        let kernel = p.function_mut("kernel").unwrap().body.as_mut().unwrap();
+        let StmtKind::For(_, _, _, body) = &mut Arc::make_mut(&mut kernel.stmts[1]).kind else {
+            panic!("kernel's second statement is the for loop");
+        };
+        let StmtKind::If(_, then, _) = &mut Arc::make_mut(&mut body.stmts[1]).kind else {
+            panic!("the loop's second statement is the if");
+        };
+        then.stmts.push(synth());
+
         let mut shared = p.clone();
         shared.renumber_synthesized();
+        // A deep copy: the mutable block walk unshares every item and every
+        // statement.
         let mut deep = p.clone();
-        deep.items = p.items.iter().map(|i| Arc::new((**i).clone())).collect();
+        crate::visit::visit_blocks_mut(&mut deep, &mut |_| {});
+        let deep_stmts = block_stmts(&deep);
+        assert!(block_stmts(&p)
+            .iter()
+            .all(|s| deep_stmts.iter().all(|d| !Arc::ptr_eq(s, d))));
         deep.renumber_synthesized();
         assert_eq!(shared, deep);
         assert_eq!(
@@ -849,8 +929,20 @@ mod tests {
             let edited = matches!(&**a, Item::Function(f) if f.name == "f" || f.name == "kernel");
             assert_eq!(Arc::ptr_eq(a, b), !edited);
         }
-        let body = p.function("kernel").unwrap().body.as_ref().unwrap();
+        let body = p.function("f").unwrap().body.as_ref().unwrap();
         assert_eq!(body.stmts[0].id, NodeId::SYNTH);
+        // Within them, only the statements holding a synthesized node were
+        // copied: the two spliced ones, the `for` and the `if`.
+        let (before, after) = (block_stmts(&p), block_stmts(&shared));
+        assert_eq!(before.len(), after.len());
+        let mut copied = 0;
+        for (a, b) in before.iter().zip(&after) {
+            let mut synth = false;
+            node_ids::stmt(a, &mut |id| synth |= *id == NodeId::SYNTH);
+            assert_eq!(Arc::ptr_eq(a, b), !synth, "sharing of statement {}", b.id);
+            copied += usize::from(synth);
+        }
+        assert_eq!(copied, 4);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub fn rewrite_decl_type(
 fn rewrite_block_decl_type(b: &mut Block, var: &str, new_ty: &Type) -> bool {
     let mut changed = false;
     for s in &mut b.stmts {
-        match &mut s.kind {
+        match &mut Arc::make_mut(s).kind {
             StmtKind::Decl(d) if d.name == var => {
                 d.ty = new_ty.clone();
                 changed = true;
@@ -102,24 +102,12 @@ pub fn splice_at(p: &mut Program, target: NodeId, anchor: Anchor, new: Vec<Stmt>
             return;
         }
         if let Some(idx) = b.stmts.iter().position(|s| s.id == target) {
-            match anchor {
-                Anchor::Before => {
-                    for (k, s) in new.iter().cloned().enumerate() {
-                        b.stmts.insert(idx + k, s);
-                    }
-                }
-                Anchor::After => {
-                    for (k, s) in new.iter().cloned().enumerate() {
-                        b.stmts.insert(idx + 1 + k, s);
-                    }
-                }
-                Anchor::Replace => {
-                    b.stmts.remove(idx);
-                    for (k, s) in new.iter().cloned().enumerate() {
-                        b.stmts.insert(idx + k, s);
-                    }
-                }
-            }
+            let at = match anchor {
+                Anchor::Before => idx..idx,
+                Anchor::After => idx + 1..idx + 1,
+                Anchor::Replace => idx..idx + 1,
+            };
+            b.stmts.splice(at, new.iter().cloned().map(Arc::new));
             done = true;
         }
     });
@@ -196,7 +184,7 @@ pub fn make_local_static(p: &mut Program, function: &str, var: &str) -> bool {
 
 fn make_block_static(b: &mut Block, var: &str) -> bool {
     for s in &mut b.stmts {
-        match &mut s.kind {
+        match &mut Arc::make_mut(s).kind {
             StmtKind::Decl(d) if d.name == var => {
                 d.is_static = true;
                 return true;

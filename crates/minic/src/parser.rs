@@ -33,6 +33,18 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
 /// of any recursive walker downstream.
 pub const MAX_NESTING: usize = 64;
 
+/// The pointer, array and stream layers wrapped around a type's base,
+/// which every recursive walk over a [`Type`] descends through one by one.
+fn declarator_depth(ty: &Type) -> usize {
+    let mut depth = 0;
+    let mut t = ty;
+    while let Type::Pointer(inner) | Type::Array(inner, _) | Type::Stream(inner) = t {
+        depth += 1;
+        t = inner;
+    }
+    depth
+}
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
@@ -73,6 +85,12 @@ impl Parser {
         let r = f(self);
         self.depth -= 1;
         r
+    }
+
+    fn declarator_too_deep(&self) -> ParseError {
+        self.err(format!(
+            "type declarator nesting deeper than {MAX_NESTING} levels"
+        ))
     }
 
     fn fresh(&mut self) -> NodeId {
@@ -173,7 +191,7 @@ impl Parser {
                 TokenKind::Keyword(Keyword::Typedef) => {
                     self.bump();
                     let ty = self.parse_type()?;
-                    let ty = self.parse_pointer_suffix(ty);
+                    let ty = self.parse_pointer_suffix(ty)?;
                     let name = self.expect_ident()?;
                     self.expect(TokenKind::Semi)?;
                     self.type_names.insert(name.clone());
@@ -223,7 +241,7 @@ impl Parser {
             let is_static = self.eat_kw(Keyword::Static);
             let is_const0 = self.eat_kw(Keyword::Const);
             let ty = self.parse_type()?;
-            let ty = self.parse_pointer_suffix(ty);
+            let ty = self.parse_pointer_suffix(ty)?;
             let by_ref = self.eat(&TokenKind::Amp);
             let fname = self.expect_ident()?;
             if self.peek() == &TokenKind::LParen {
@@ -286,7 +304,7 @@ impl Parser {
         let is_static = self.eat_kw(Keyword::Static);
         let is_const = self.eat_kw(Keyword::Const);
         let ty = self.parse_type()?;
-        let ty = self.parse_pointer_suffix(ty);
+        let ty = self.parse_pointer_suffix(ty)?;
         let name = self.expect_ident()?;
         if self.peek() == &TokenKind::LParen {
             let mut f = self.parse_function_rest(ty, name)?;
@@ -344,7 +362,7 @@ impl Parser {
         loop {
             self.eat_kw(Keyword::Const);
             let ty = self.parse_type()?;
-            let ty = self.parse_pointer_suffix(ty);
+            let ty = self.parse_pointer_suffix(ty)?;
             let by_ref = self.eat(&TokenKind::Amp);
             let pname = self.expect_ident()?;
             let ty = self.parse_array_suffix(ty)?;
@@ -403,7 +421,7 @@ impl Parser {
                     }
                     self.expect(TokenKind::Lt)?;
                     let inner = self.nested(Self::parse_type)?;
-                    let inner = self.parse_pointer_suffix(inner);
+                    let inner = self.parse_pointer_suffix(inner)?;
                     self.expect(TokenKind::Gt)?;
                     return Ok(Type::Stream(Box::new(inner)));
                 }
@@ -501,18 +519,30 @@ impl Parser {
         }
     }
 
-    fn parse_pointer_suffix(&mut self, mut ty: Type) -> Type {
+    /// Parses the `*…` after a base type. Stars count against
+    /// [`MAX_NESTING`] together with the layers `ty` already has.
+    fn parse_pointer_suffix(&mut self, mut ty: Type) -> Result<Type, ParseError> {
+        let mut depth = declarator_depth(&ty);
         while self.eat(&TokenKind::Star) {
+            depth += 1;
+            if depth > MAX_NESTING {
+                return Err(self.declarator_too_deep());
+            }
             ty = Type::Pointer(Box::new(ty));
         }
-        ty
+        Ok(ty)
     }
 
     /// Parses `[N][M]…` after a declarator name, folding into nested arrays
-    /// (outermost dimension first).
+    /// (outermost dimension first). Dimensions count against
+    /// [`MAX_NESTING`] together with the layers `base` already has.
     fn parse_array_suffix(&mut self, base: Type) -> Result<Type, ParseError> {
+        let depth = declarator_depth(&base);
         let mut dims = Vec::new();
         while self.eat(&TokenKind::LBracket) {
+            if depth + dims.len() >= MAX_NESTING {
+                return Err(self.declarator_too_deep());
+            }
             if self.eat(&TokenKind::RBracket) {
                 dims.push(ArraySize::Unknown);
                 continue;
@@ -709,7 +739,7 @@ impl Parser {
                 self.eat_kw(Keyword::Const);
             }
             let ty = self.parse_type()?;
-            let ty = self.parse_pointer_suffix(ty);
+            let ty = self.parse_pointer_suffix(ty)?;
             let name = self.expect_ident()?;
             let ty = self.parse_array_suffix(ty)?;
             let init = if self.eat(&TokenKind::Eq) {
@@ -985,14 +1015,14 @@ impl Parser {
                 self.bump();
                 self.expect(TokenKind::LParen)?;
                 let ty = self.parse_type()?;
-                let ty = self.parse_pointer_suffix(ty);
+                let ty = self.parse_pointer_suffix(ty)?;
                 self.expect(TokenKind::RParen)?;
                 Ok(self.expr(span, ExprKind::SizeOf(ty)))
             }
             TokenKind::LParen if self.cast_ahead() => {
                 self.bump();
                 let ty = self.parse_type()?;
-                let ty = self.parse_pointer_suffix(ty);
+                let ty = self.parse_pointer_suffix(ty)?;
                 self.expect(TokenKind::RParen)?;
                 let e = self.nested(Self::parse_unary)?;
                 Ok(self.expr(span, ExprKind::Cast(ty, Box::new(e))))
@@ -1590,6 +1620,49 @@ mod tests {
         depth_error(&parens(10_000));
         depth_error(&blocks(10_000));
         depth_error(&negs(100_000));
+    }
+
+    #[test]
+    fn declarator_limit_counts_stars_and_dimensions_together() {
+        let stars = |n| "*".repeat(n);
+        let dims = |n| "[1]".repeat(n);
+        let half = MAX_NESTING / 2;
+        // Exactly at the limit, in every declarator position.
+        for src in [
+            format!("int {}g;", stars(MAX_NESTING)),
+            format!("int g{};", dims(MAX_NESTING)),
+            format!("int {}g{};", stars(half), dims(MAX_NESTING - half)),
+            format!("int f(int {}a{}) {{ return 0; }}", stars(half), dims(half)),
+            format!("void f() {{ int {}a{}; }}", stars(half), dims(half)),
+            format!("void f(int x) {{ x = (int{})0; }}", stars(MAX_NESTING)),
+            format!("void f(int x) {{ x = sizeof(int{}); }}", stars(MAX_NESTING)),
+            format!("struct S {{ int {}v{}; }};", stars(half), dims(half)),
+            format!("typedef int {}T;", stars(MAX_NESTING)),
+        ] {
+            parse(&src).unwrap_or_else(|e| panic!("{src}: {e}"));
+        }
+        // One past it.
+        for src in [
+            format!("int {}g;", stars(MAX_NESTING + 1)),
+            format!("int g{};", dims(MAX_NESTING + 1)),
+            format!("int {}g{};", stars(half), dims(MAX_NESTING - half + 1)),
+            format!(
+                "int f(int {}a{}) {{ return 0; }}",
+                stars(half + 1),
+                dims(half)
+            ),
+            format!("void f() {{ int {}a{}; }}", stars(half), dims(half + 1)),
+            format!("void f(int x) {{ x = (int{})0; }}", stars(MAX_NESTING + 1)),
+            format!(
+                "void f(int x) {{ x = sizeof(int{}); }}",
+                stars(MAX_NESTING + 1)
+            ),
+            format!("struct S {{ int {}v{}; }};", stars(half + 1), dims(half)),
+            format!("typedef int {}T;", stars(MAX_NESTING + 1)),
+        ] {
+            let e = depth_error(&src);
+            assert!(e.message().contains("type declarator"), "{src}: {e}");
+        }
     }
 
     #[test]

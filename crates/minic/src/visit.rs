@@ -5,11 +5,14 @@
 //! expression", "every statement (with mutation)", or "every declared type".
 //!
 //! The whole-program mutable walkers (`visit_*_mut`) unshare every item of
-//! the program they walk; an edit that writes one item should reach it
-//! through [`Program::function_mut`] or [`Program::items_mut`] instead.
+//! the program they walk, and the mutable walkers unshare every statement
+//! they visit; an edit that writes one item should reach it through
+//! [`Program::function_mut`] or [`Program::items_mut`] instead, and an edit
+//! that writes one statement should copy only the path down to it.
 
 use crate::ast::*;
 use crate::types::Type;
+use std::sync::Arc;
 
 /// Visits every expression in the program (including struct methods,
 /// constructors and global initializers), outermost first.
@@ -56,7 +59,7 @@ pub fn visit_exprs_mut(p: &mut Program, f: &mut dyn FnMut(&mut Expr)) {
             Item::Function(func) => {
                 if let Some(b) = &mut func.body {
                     for st in &mut b.stmts {
-                        walk_stmt_exprs_mut(st, f);
+                        walk_stmt_exprs_mut(Arc::make_mut(st), f);
                     }
                 }
             }
@@ -64,7 +67,7 @@ pub fn visit_exprs_mut(p: &mut Program, f: &mut dyn FnMut(&mut Expr)) {
                 for m in &mut s.methods {
                     if let Some(b) = &mut m.body {
                         for st in &mut b.stmts {
-                            walk_stmt_exprs_mut(st, f);
+                            walk_stmt_exprs_mut(Arc::make_mut(st), f);
                         }
                     }
                 }
@@ -73,7 +76,7 @@ pub fn visit_exprs_mut(p: &mut Program, f: &mut dyn FnMut(&mut Expr)) {
                         walk_expr_mut(e, f);
                     }
                     for st in &mut ctor.body.stmts {
-                        walk_stmt_exprs_mut(st, f);
+                        walk_stmt_exprs_mut(Arc::make_mut(st), f);
                     }
                 }
             }
@@ -184,7 +187,7 @@ fn visit_function_types_mut(func: &mut Function, f: &mut dyn FnMut(&mut Type)) {
 
 fn visit_block_decl_types_mut(b: &mut Block, f: &mut dyn FnMut(&mut Type)) {
     for s in &mut b.stmts {
-        visit_stmt_decl_types_mut(s, f);
+        visit_stmt_decl_types_mut(Arc::make_mut(s), f);
     }
 }
 
@@ -247,10 +250,10 @@ pub fn walk_stmt(s: &Stmt, f: &mut dyn FnMut(&Stmt)) {
 
 /// Walks one block and its nested blocks with mutation, outermost first
 /// (the per-block walk of [`visit_blocks_mut`]).
-pub fn walk_block_mut(b: &mut Block, f: &mut dyn FnMut(&mut Block)) {
+fn walk_block_mut(b: &mut Block, f: &mut dyn FnMut(&mut Block)) {
     f(b);
     for s in &mut b.stmts {
-        match &mut s.kind {
+        match &mut Arc::make_mut(s).kind {
             StmtKind::If(_, t, e) => {
                 walk_block_mut(t, f);
                 if let Some(e) = e {
@@ -332,23 +335,23 @@ fn walk_stmt_exprs_mut(s: &mut Stmt, f: &mut dyn FnMut(&mut Expr)) {
         StmtKind::If(c, t, e) => {
             walk_expr_mut(c, f);
             for st in &mut t.stmts {
-                walk_stmt_exprs_mut(st, f);
+                walk_stmt_exprs_mut(Arc::make_mut(st), f);
             }
             if let Some(e) = e {
                 for st in &mut e.stmts {
-                    walk_stmt_exprs_mut(st, f);
+                    walk_stmt_exprs_mut(Arc::make_mut(st), f);
                 }
             }
         }
         StmtKind::While(c, b) => {
             walk_expr_mut(c, f);
             for st in &mut b.stmts {
-                walk_stmt_exprs_mut(st, f);
+                walk_stmt_exprs_mut(Arc::make_mut(st), f);
             }
         }
         StmtKind::DoWhile(b, c) => {
             for st in &mut b.stmts {
-                walk_stmt_exprs_mut(st, f);
+                walk_stmt_exprs_mut(Arc::make_mut(st), f);
             }
             walk_expr_mut(c, f);
         }
@@ -363,13 +366,13 @@ fn walk_stmt_exprs_mut(s: &mut Stmt, f: &mut dyn FnMut(&mut Expr)) {
                 walk_expr_mut(st, f);
             }
             for st in &mut b.stmts {
-                walk_stmt_exprs_mut(st, f);
+                walk_stmt_exprs_mut(Arc::make_mut(st), f);
             }
         }
         StmtKind::Return(Some(e)) => walk_expr_mut(e, f),
         StmtKind::Block(b) => {
             for st in &mut b.stmts {
-                walk_stmt_exprs_mut(st, f);
+                walk_stmt_exprs_mut(Arc::make_mut(st), f);
             }
         }
         _ => {}
@@ -500,7 +503,7 @@ mod tests {
     fn blocks_mut_can_insert_statements() {
         let mut p = parse("void f() { int a = 1; }").unwrap();
         visit_blocks_mut(&mut p, &mut |b| {
-            b.stmts.push(Stmt::synth(StmtKind::Return(None)));
+            b.stmts.push(Arc::new(Stmt::synth(StmtKind::Return(None))));
         });
         p.renumber_synthesized();
         let s = crate::print_program(&p);

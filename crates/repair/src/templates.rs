@@ -689,12 +689,7 @@ fn insert_pragma(
     match loop_index {
         None => {
             // Function-body head. Refuse duplicates of the same kind.
-            let body = f.body.as_ref()?;
-            if body
-                .stmts
-                .iter()
-                .any(|s| matches!(&s.kind, StmtKind::Pragma(pr) if same_kind(&pr.kind, pragma)))
-            {
+            if carries_same_kind(f.body.as_ref()?, pragma) {
                 return None;
             }
             let mut out = p.clone();
@@ -741,42 +736,66 @@ fn insert_pragma_in_method(
     Some(out)
 }
 
-fn pragma_stmt(pragma: &PragmaKind) -> Stmt {
-    Stmt::synth(StmtKind::Pragma(Pragma {
+fn pragma_stmt(pragma: &PragmaKind) -> Arc<Stmt> {
+    Arc::new(Stmt::synth(StmtKind::Pragma(Pragma {
         kind: pragma.clone(),
-    }))
+    })))
 }
 
 /// Inserts `pragma` at the head of the body of loop `target` within `body`,
 /// unless that loop already carries a pragma of the same directive family.
 /// Returns whether it was inserted.
+///
+/// Path-copying: a read-only probe finds the one statement of each block
+/// that holds the loop, and only the statements on that path are unshared;
+/// every sibling stays shared with the parent program.
 fn insert_at_loop_head(body: &mut Block, target: NodeId, pragma: &PragmaKind) -> bool {
-    let mut done = false;
-    minic::visit::walk_block_mut(body, &mut |b| {
-        if done {
-            return;
+    let Some(i) = body.stmts.iter().position(|s| holds_stmt(s, target)) else {
+        return false;
+    };
+    let at_target = body.stmts[i].id == target;
+    if at_target {
+        let (StmtKind::While(_, b) | StmtKind::DoWhile(b, _) | StmtKind::For(_, _, _, b)) =
+            &body.stmts[i].kind
+        else {
+            return false;
+        };
+        if carries_same_kind(b, pragma) {
+            return false;
         }
-        for s in &mut b.stmts {
-            if s.id != target {
-                continue;
-            }
-            if let StmtKind::While(_, body)
-            | StmtKind::DoWhile(body, _)
-            | StmtKind::For(_, _, _, body) = &mut s.kind
-            {
-                if body
-                    .stmts
-                    .iter()
-                    .any(|s| matches!(&s.kind, StmtKind::Pragma(pr) if same_kind(&pr.kind, pragma)))
-                {
-                    return;
-                }
-                body.stmts.insert(0, pragma_stmt(pragma));
-                done = true;
-            }
+    }
+    match &mut Arc::make_mut(&mut body.stmts[i]).kind {
+        StmtKind::While(_, b) | StmtKind::DoWhile(b, _) | StmtKind::For(_, _, _, b)
+            if at_target =>
+        {
+            b.stmts.insert(0, pragma_stmt(pragma));
+            true
         }
-    });
-    done
+        StmtKind::If(_, t, e) => {
+            insert_at_loop_head(t, target, pragma)
+                || e.as_mut()
+                    .is_some_and(|e| insert_at_loop_head(e, target, pragma))
+        }
+        StmtKind::While(_, b)
+        | StmtKind::DoWhile(b, _)
+        | StmtKind::For(_, _, _, b)
+        | StmtKind::Block(b) => insert_at_loop_head(b, target, pragma),
+        _ => false,
+    }
+}
+
+/// Whether statement `target` is `s` or nested anywhere inside it.
+fn holds_stmt(s: &Stmt, target: NodeId) -> bool {
+    let mut found = false;
+    visit::walk_stmt(s, &mut |st| found |= st.id == target);
+    found
+}
+
+/// Whether `b` directly holds a pragma of `pragma`'s directive family.
+fn carries_same_kind(b: &Block, pragma: &PragmaKind) -> bool {
+    b.stmts
+        .iter()
+        .any(|s| matches!(&s.kind, StmtKind::Pragma(pr) if same_kind(&pr.kind, pragma)))
 }
 
 /// Whether two pragmas belong to the same directive family.
@@ -835,7 +854,7 @@ fn remove_pragmas_in_block(b: &mut Block, kind: &str, removed: &mut bool) {
         !is_match
     });
     for s in &mut b.stmts {
-        match &mut s.kind {
+        match &mut Arc::make_mut(s).kind {
             StmtKind::If(_, t, e) => {
                 remove_pragmas_in_block(t, kind, removed);
                 if let Some(e) = e {
@@ -875,7 +894,7 @@ fn replace_factor_in_block(
     changed: &mut bool,
 ) {
     for s in &mut b.stmts {
-        match &mut s.kind {
+        match &mut Arc::make_mut(s).kind {
             StmtKind::Pragma(pr) => match (&mut pr.kind, kind) {
                 (PragmaKind::Unroll { factor }, "unroll") if *factor != Some(value) => {
                     *factor = Some(value);
@@ -1001,7 +1020,7 @@ fn duplicate_array_arg(p: &Program, function: &str, var: &str) -> Option<Program
                 if s.id != *stmt_id {
                     continue;
                 }
-                if let StmtKind::Expr(e) = &mut s.kind {
+                if let StmtKind::Expr(e) = &mut Arc::make_mut(s).kind {
                     if let ExprKind::Call(_, args) = &mut e.kind {
                         if let Some(a) = args.get_mut(*arg_pos) {
                             a.kind = ExprKind::Ident(copy_name.clone());
@@ -1222,7 +1241,8 @@ mod tests {
                 hls::stream<unsigned> &out;
                 Worker(hls::stream<unsigned> &i, hls::stream<unsigned> &o) : in(i), out(o) {}
                 void run() {
-                    while (!in.empty()) { out.write(in.read() * 2u); }
+                    unsigned n = 0u;
+                    while (!in.empty()) { out.write(in.read() * 2u); n++; }
                 }
             };
             void kernel(hls::stream<unsigned> &in, hls::stream<unsigned> &out) {
@@ -1240,8 +1260,19 @@ mod tests {
         let q = e.apply(&p).unwrap();
         let src = minic::print_program(&q);
         assert!(src.contains("pipeline II=1"), "{src}");
-        // Only the struct was copied; `kernel` is still the parent's.
+        // Only the struct was copied; `kernel` is still the parent's. Within
+        // the method, only the loop was copied.
         assert_shares_all_but(&p, &q, |i| matches!(i, Item::Struct(_)));
+        let run = |p: &Program| {
+            let def = p.struct_def("Worker").unwrap();
+            def.method("run").unwrap().body.clone().unwrap()
+        };
+        let target = hls_sim::check::collect_loops(
+            &p,
+            p.struct_def("Worker").unwrap().method("run").unwrap(),
+        )[0]
+        .id;
+        assert_path_copied(&run(&p), &run(&q), Some(target));
         // Duplicate insert refused.
         assert!(e.apply(&q).is_none());
         // Missing method refused.
@@ -1341,6 +1372,69 @@ mod tests {
         for (k, (a, b)) in parent.items.iter().zip(&child.items).enumerate() {
             assert_eq!(Arc::ptr_eq(a, b), !edited(a), "sharing of item {k}");
         }
+    }
+
+    /// Every block-level statement of `b`, outermost first.
+    fn block_stmts<'a>(b: &'a Block, out: &mut Vec<&'a Arc<Stmt>>) {
+        for s in &b.stmts {
+            out.push(s);
+            match &s.kind {
+                StmtKind::If(_, t, e) => {
+                    block_stmts(t, out);
+                    if let Some(e) = e {
+                        block_stmts(e, out);
+                    }
+                }
+                StmtKind::While(_, b)
+                | StmtKind::DoWhile(b, _)
+                | StmtKind::For(_, _, _, b)
+                | StmtKind::Block(b) => block_stmts(b, out),
+                _ => {}
+            }
+        }
+    }
+
+    /// Asserts that the edited body `child` holds the very same statement
+    /// allocations as `parent`, except the one inserted statement and the
+    /// statements on the path down to loop `target` (none for an insert at
+    /// the body head), which it must have created or copied.
+    fn assert_path_copied(parent: &Block, child: &Block, target: Option<NodeId>) {
+        let (mut old, mut new) = (Vec::new(), Vec::new());
+        block_stmts(parent, &mut old);
+        block_stmts(child, &mut new);
+        assert_eq!(new.len(), old.len() + 1);
+        for s in new {
+            let on_path =
+                target.is_some_and(|t| holds_stmt(s, t)) || old.iter().all(|o| o.id != s.id);
+            let shared = old.iter().any(|o| Arc::ptr_eq(o, s));
+            assert_eq!(shared, !on_path, "sharing of statement {}", s.id);
+        }
+    }
+
+    #[test]
+    fn pragma_inserts_copy_only_the_path_to_their_loop() {
+        // [function head, loop head]
+        let mut checked = [0usize; 2];
+        for s in benchsuite::subjects() {
+            let p = s.parse();
+            for e in crate::search::performance_edits(&p) {
+                let RepairEdit::InsertPragma {
+                    function,
+                    loop_index,
+                    ..
+                } = &e
+                else {
+                    continue;
+                };
+                let Some(child) = e.apply(&p) else { continue };
+                let f = p.function(function).unwrap();
+                let target = loop_index.map(|i| hls_sim::check::collect_loops(&p, f)[i].id);
+                let body = |q: &Program| q.function(function).unwrap().body.clone().unwrap();
+                assert_path_copied(&body(&p), &body(&child), target);
+                checked[usize::from(target.is_some())] += 1;
+            }
+        }
+        assert!(checked.iter().all(|&n| n > 0), "coverage {checked:?}");
     }
 
     #[test]

@@ -32,7 +32,10 @@ pub fn stack_trans(p: &Program, function: &str, capacity: u64) -> Option<Program
         }
     }
     let body = f.body.clone()?;
-    let stmts = normalize_guard(function, body.stmts);
+    let stmts = normalize_guard(
+        function,
+        body.stmts.into_iter().map(Arc::unwrap_or_clone).collect(),
+    );
 
     // Split into segments at top-level recursive calls; reject nested ones.
     let mut segments: Vec<Vec<Stmt>> = vec![Vec::new()];
@@ -321,7 +324,7 @@ fn normalize_guard(function: &str, stmts: Vec<Stmt>) -> Vec<Stmt> {
             Block::new(vec![Stmt::synth(StmtKind::Return(None))]),
             None,
         )));
-        stmts.extend(then.stmts);
+        stmts.extend(then.stmts.into_iter().map(Arc::unwrap_or_clone));
     }
 }
 
@@ -449,7 +452,7 @@ fn rewrite_block(
     Block::new(
         b.stmts
             .into_iter()
-            .map(|s| rewrite_stmt(s, frame_vars, frame_access, sp))
+            .map(|s| rewrite_stmt(Arc::unwrap_or_clone(s), frame_vars, frame_access, sp))
             .collect(),
     )
 }

@@ -122,7 +122,7 @@ fn rewrite_sibling_calls(b: &mut Block, def: &StructDef) {
     let method_names: Vec<String> = def.methods.iter().map(|m| m.name.clone()).collect();
     let field_names: Vec<String> = def.fields.iter().map(|f| f.name.clone()).collect();
     for s in &mut b.stmts {
-        sibling::rewrite(s, &def.name, &method_names, &field_names);
+        sibling::rewrite(Arc::make_mut(s), &def.name, &method_names, &field_names);
     }
 }
 
@@ -139,23 +139,23 @@ fn visit_walk(s: &mut Stmt, f: &mut dyn FnMut(&mut Expr)) {
         StmtKind::If(c, t, els) => {
             visit::walk_expr_mut(c, f);
             for st in &mut t.stmts {
-                visit_walk(st, f);
+                visit_walk(Arc::make_mut(st), f);
             }
             if let Some(b) = els {
                 for st in &mut b.stmts {
-                    visit_walk(st, f);
+                    visit_walk(Arc::make_mut(st), f);
                 }
             }
         }
         StmtKind::While(c, b) => {
             visit::walk_expr_mut(c, f);
             for st in &mut b.stmts {
-                visit_walk(st, f);
+                visit_walk(Arc::make_mut(st), f);
             }
         }
         StmtKind::DoWhile(b, c) => {
             for st in &mut b.stmts {
-                visit_walk(st, f);
+                visit_walk(Arc::make_mut(st), f);
             }
             visit::walk_expr_mut(c, f);
         }
@@ -170,12 +170,12 @@ fn visit_walk(s: &mut Stmt, f: &mut dyn FnMut(&mut Expr)) {
                 visit::walk_expr_mut(st, f);
             }
             for st in &mut b.stmts {
-                visit_walk(st, f);
+                visit_walk(Arc::make_mut(st), f);
             }
         }
         StmtKind::Block(b) => {
             for st in &mut b.stmts {
-                visit_walk(st, f);
+                visit_walk(Arc::make_mut(st), f);
             }
         }
         _ => {}

@@ -94,3 +94,35 @@ fn deepest_accepted_program_runs_end_to_end() {
         .expect("the pipeline handles the deepest accepted input");
     assert!(report.testgen.tests > 0);
 }
+
+/// A kernel declaring a local whose declarator chain has `stars` pointer
+/// stars and `dims` array dimensions.
+fn declarator_kernel(stars: usize, dims: usize) -> String {
+    format!(
+        "int kernel(int x) {{ int {}p{}; return x + 1; }}",
+        "*".repeat(stars),
+        "[1]".repeat(dims),
+    )
+}
+
+#[test]
+fn deep_declarators_are_parse_errors() {
+    for src in [
+        declarator_kernel(100_000, 0),
+        declarator_kernel(0, 100_000),
+        declarator_kernel(MAX_NESTING / 2 + 1, MAX_NESTING / 2),
+    ] {
+        let e = minic::parse(&src).expect_err("over the declarator limit");
+        assert!(e.message().contains("type declarator"), "{e}");
+    }
+}
+
+#[test]
+fn deepest_accepted_declarator_runs_end_to_end() {
+    let src = declarator_kernel(MAX_NESTING / 2, MAX_NESTING / 2);
+    let p = minic::parse(&src).expect("exactly at the limit");
+    let report = session()
+        .run(JobSpec::fuzz(p, "kernel", vec![]))
+        .expect("the pipeline handles the deepest accepted declarator");
+    assert!(report.testgen.tests > 0);
+}
