@@ -384,6 +384,17 @@ fn run_trace(opts: &CommonOpts) {
             .map(|(k, v)| vec![k.clone(), v.to_string()])
             .collect::<Vec<_>>(),
     );
+    println!("\n-- behaviour memo (test simulations) --");
+    print_table(
+        &["Decision", "Count"],
+        &report
+            .repair
+            .memo
+            .rows()
+            .iter()
+            .map(|(k, v)| vec![k.to_string(), v.to_string()])
+            .collect::<Vec<_>>(),
+    );
     println!("\n-- toolchain cost histograms --");
     print_table(
         &["Histogram", "Count", "Sum", "Mean", "Min", "Max"],

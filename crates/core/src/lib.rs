@@ -30,7 +30,7 @@ use heterogen_trace::{Event, NullSink, TraceSink};
 use minic::types::Type;
 use minic::Program;
 use minic_exec::Profile;
-use repair::{EditScript, RepairOutcome, SearchConfig, SearchStop};
+use repair::{EditScript, MemoStats, RepairOutcome, SearchConfig, SearchStop};
 use serde::Serialize;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -245,6 +245,10 @@ pub struct RepairSummary {
     pub first_fix_attempts: Option<u64>,
     /// Whether the mined-pattern candidate tier was active.
     pub mined: bool,
+    /// How the behaviour memo settled the search's simulations. Wall-clock
+    /// work only, so it is not serialized: the report stays the same
+    /// whichever way a simulation was satisfied.
+    pub memo: MemoStats,
 }
 
 // Manual impl: the legacy fields serialize unconditionally in their
@@ -1123,6 +1127,7 @@ impl Session {
                 script: outcome.script.clone(),
                 first_fix_attempts: outcome.stats.first_success_attempts,
                 mined: !search_cfg.mined.is_empty(),
+                memo: outcome.memo,
             },
             delta_loc,
             origin_loc: minic::loc(&original),

@@ -28,6 +28,9 @@ pub enum Trap {
     StreamUnderflow,
     /// Division or remainder by zero.
     DivisionByZero,
+    /// An allocation would take the run past its cell budget
+    /// ([`crate::memory::MAX_CELLS`]).
+    CellBudgetExhausted,
 }
 
 impl fmt::Display for Trap {
@@ -42,6 +45,7 @@ impl fmt::Display for Trap {
             Trap::StackOverflow => write!(f, "call stack overflow"),
             Trap::StreamUnderflow => write!(f, "read from empty stream"),
             Trap::DivisionByZero => write!(f, "division by zero"),
+            Trap::CellBudgetExhausted => write!(f, "memory cell budget exhausted"),
         }
     }
 }
@@ -115,6 +119,7 @@ mod tests {
             Trap::StackOverflow,
             Trap::StreamUnderflow,
             Trap::DivisionByZero,
+            Trap::CellBudgetExhausted,
         ]
     }
 

@@ -216,7 +216,7 @@ impl<'p> Machine<'p> {
         for item in self.program.items.iter().map(|i| &**i) {
             match item {
                 Item::Define(name, v) => {
-                    let addr = self.alloc_tracked(1);
+                    let addr = self.alloc_tracked(1)?;
                     self.mem.store(addr, Value::int(*v))?;
                     self.globals.insert(
                         name.clone(),
@@ -228,7 +228,7 @@ impl<'p> Machine<'p> {
                 }
                 Item::Global(g) => {
                     let size = self.size_of(&g.ty)?;
-                    let addr = self.alloc_tracked(size);
+                    let addr = self.alloc_tracked(size)?;
                     if matches!(g.ty, Type::Stream(_)) {
                         let handle = self.new_stream();
                         self.mem.store(addr, Value::StreamRef(handle))?;
@@ -254,10 +254,10 @@ impl<'p> Machine<'p> {
         Ok(())
     }
 
-    fn alloc_tracked(&mut self, n: usize) -> usize {
-        let addr = self.mem.alloc(n.max(1));
+    fn alloc_tracked(&mut self, n: usize) -> Result<usize, ExecError> {
+        let addr = self.mem.alloc(n.max(1))?;
         self.alloc_sizes.insert(addr, n.max(1));
-        addr
+        Ok(addr)
     }
 
     /// Creates a fresh stream and returns its handle.
@@ -541,7 +541,7 @@ impl<'p> Machine<'p> {
                 )))
             }
         };
-        let addr = self.alloc_tracked(len.max(1));
+        let addr = self.alloc_tracked(len.max(1))?;
         Ok((addr, elem.is_float()))
     }
 
@@ -582,7 +582,7 @@ impl<'p> Machine<'p> {
                 Type::Array(e, _) => Type::Pointer(e.clone()),
                 other => other.clone(),
             };
-            let addr = self.alloc_tracked(1);
+            let addr = self.alloc_tracked(1)?;
             let stored = match &bty {
                 Type::Stream(_) => arg,
                 _ => {
@@ -671,7 +671,7 @@ impl<'p> Machine<'p> {
                 // of the size variable (CPU semantics; HLS rejects these).
                 let ty = self.materialize_vla(&ty)?;
                 let size = self.size_of(&ty)?;
-                let addr = self.alloc_tracked(size);
+                let addr = self.alloc_tracked(size)?;
                 if let Type::Stream(_) = &ty {
                     let h = self.new_stream();
                     self.mem.store(addr, Value::StreamRef(h))?;
@@ -1018,7 +1018,7 @@ impl<'p> Machine<'p> {
 
     fn construct_struct(&mut self, name: &str, args: &[Expr]) -> Result<usize, ExecError> {
         let size = self.size_of(&Type::Struct(name.to_string()))?;
-        let addr = self.alloc_tracked(size);
+        let addr = self.alloc_tracked(size)?;
         let def = self
             .program
             .struct_def(name)
@@ -1270,7 +1270,7 @@ impl<'p> Machine<'p> {
         match name {
             "malloc" => {
                 let n = self.eval(&args[0])?.as_int().max(0) as usize;
-                let addr = self.alloc_tracked(n.max(1));
+                let addr = self.alloc_tracked(n.max(1))?;
                 return Ok(Value::Ptr { addr, stride: 1 });
             }
             "free" => {

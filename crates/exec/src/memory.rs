@@ -8,6 +8,13 @@
 use crate::error::{ExecError, Trap};
 use crate::value::Value;
 
+/// Most cells a run may allocate in total: 4 Mi cells (128 MiB of 32-byte
+/// cells). Freed cells are not reused, so they still count. The paper
+/// subjects stay below 1% of it, fuzzing included; going over traps with
+/// [`Trap::CellBudgetExhausted`] on both engines instead of exhausting the
+/// host.
+pub const MAX_CELLS: usize = 1 << 22;
+
 /// Flat memory: a growable vector of cells.
 #[derive(Debug, Clone, Default)]
 pub struct Memory {
@@ -30,13 +37,21 @@ impl Memory {
 
     /// Allocates `n` contiguous cells initialized to zero ints and returns
     /// the base address.
-    pub fn alloc(&mut self, n: usize) -> usize {
+    ///
+    /// # Errors
+    ///
+    /// Traps with [`Trap::CellBudgetExhausted`], allocating nothing, when
+    /// the cells would take the total past [`MAX_CELLS`].
+    pub fn alloc(&mut self, n: usize) -> Result<usize, ExecError> {
+        if n > MAX_CELLS.saturating_sub(self.total_cells()) {
+            return Err(ExecError::trap(Trap::CellBudgetExhausted));
+        }
         let base = self.cells.len();
         self.cells
             .extend(std::iter::repeat_with(|| Value::int(0)).take(n));
         self.live += n;
         self.peak = self.peak.max(self.live);
-        base
+        Ok(base)
     }
 
     /// Marks `n` cells as freed (storage is not reused; the interpreter only
@@ -92,8 +107,8 @@ mod tests {
     #[test]
     fn alloc_returns_distinct_regions() {
         let mut m = Memory::new();
-        let a = m.alloc(4);
-        let b = m.alloc(2);
+        let a = m.alloc(4).unwrap();
+        let b = m.alloc(2).unwrap();
         assert!(a >= 1);
         assert_eq!(b, a + 4);
     }
@@ -101,7 +116,7 @@ mod tests {
     #[test]
     fn load_store_round_trip() {
         let mut m = Memory::new();
-        let a = m.alloc(2);
+        let a = m.alloc(2).unwrap();
         m.store(a + 1, Value::int(42)).unwrap();
         assert_eq!(m.load(a + 1).unwrap().as_int(), 42);
     }
@@ -122,9 +137,24 @@ mod tests {
     #[test]
     fn peak_tracks_live_allocation() {
         let mut m = Memory::new();
-        m.alloc(10);
+        m.alloc(10).unwrap();
         m.free(10);
-        m.alloc(5);
+        m.alloc(5).unwrap();
         assert_eq!(m.peak_cells(), 10);
+    }
+
+    #[test]
+    fn budget_traps_without_allocating() {
+        let mut m = Memory::new();
+        assert_eq!(
+            m.alloc(MAX_CELLS + 1).unwrap_err(),
+            ExecError::trap(Trap::CellBudgetExhausted)
+        );
+        assert_eq!(m.total_cells(), 0);
+        m.alloc(6).unwrap();
+        assert!(m.alloc(MAX_CELLS - 5).is_err());
+        assert!(m.alloc(usize::MAX).is_err());
+        assert_eq!(m.total_cells(), 6);
+        m.alloc(2).unwrap();
     }
 }

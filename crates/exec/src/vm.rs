@@ -325,16 +325,16 @@ impl Vm {
             Ok(ef) => ef,
             Err(ei) => return Err(self.prog.errors[ei as usize].clone()),
         };
-        let addr = self.alloc_tracked(len.max(1));
+        let addr = self.alloc_tracked(len.max(1))?;
         Ok((addr, elem_float))
     }
 
     // ----- machine primitives ----------------------------------------------
 
-    fn alloc_tracked(&mut self, n: usize) -> usize {
-        let addr = self.mem.alloc(n.max(1));
+    fn alloc_tracked(&mut self, n: usize) -> Result<usize, ExecError> {
+        let addr = self.mem.alloc(n.max(1))?;
         self.alloc_sizes.insert(addr, n.max(1));
-        addr
+        Ok(addr)
     }
 
     fn new_stream(&mut self) -> usize {
@@ -497,7 +497,7 @@ impl Vm {
         }
         let base = self.slots.len();
         for (ps, arg) in spec.params.iter().zip(args) {
-            let addr = self.alloc_tracked(1);
+            let addr = self.alloc_tracked(1)?;
             let stored = if ps.is_stream {
                 arg
             } else {
@@ -791,7 +791,7 @@ impl Vm {
                     self.stack.push(out);
                 }
                 Insn::Alloc { sl, size, stream } => {
-                    let addr = self.alloc_tracked(*size);
+                    let addr = self.alloc_tracked(*size)?;
                     if *stream {
                         let h = self.new_stream();
                         self.mem.store(addr, Value::StreamRef(h))?;
@@ -799,7 +799,7 @@ impl Vm {
                     self.set_slot(*sl, addr);
                 }
                 Insn::GDefine { sl, v } => {
-                    let addr = self.alloc_tracked(1);
+                    let addr = self.alloc_tracked(1)?;
                     self.mem.store(addr, Value::int(*v))?;
                     self.set_slot(*sl, addr);
                 }
@@ -856,7 +856,7 @@ impl Vm {
                 Insn::FailErr(ei) => return Err(prog.errors[*ei as usize].clone()),
                 Insn::Malloc => {
                     let n = self.pop().as_int().max(0) as usize;
-                    let addr = self.alloc_tracked(n.max(1));
+                    let addr = self.alloc_tracked(n.max(1))?;
                     self.stack.push(Value::Ptr { addr, stride: 1 });
                 }
                 Insn::FreeP => {

@@ -11,6 +11,8 @@
 //!    paper's lightweight LLVM front-end);
 //! 3. [`sim::FpgaSimulator`] — behaviour + latency of a synthesizable
 //!    design under test inputs, with hardware finitization semantics;
+//!    [`replay`] re-estimates a run for a program that differs only in
+//!    pragmas, without simulating again;
 //! 4. [`cost::CompileCostModel`] / [`cost::SimClock`] — simulated minutes
 //!    billed per invocation, reproducing the paper's time dynamics without
 //!    hour-long real waits.
@@ -26,6 +28,7 @@
 pub mod check;
 pub mod cost;
 pub mod errors;
+pub mod replay;
 pub mod schedule;
 pub mod sim;
 pub mod style;
@@ -33,6 +36,7 @@ pub mod style;
 pub use check::{check_program, check_program_resilient, is_synthesizable};
 pub use cost::{CompileCostModel, SimClock};
 pub use errors::{ErrorCategory, HlsDiagnostic, ToolchainError};
+pub use replay::{BaseRun, Fallback, PragmaCover};
 pub use schedule::{resource_estimate, FpgaEstimate, ScheduleModel};
-pub use sim::{FpgaSimulator, SimResult};
+pub use sim::{FpgaSimulator, SimResult, SimRun};
 pub use style::{check_style, conforms, StyleViolation};

@@ -8,8 +8,11 @@
 use crate::errors::ToolchainError;
 use crate::schedule::{estimate_latency, FpgaEstimate, ScheduleModel};
 use heterogen_faults::{Fault, FaultInjector, FaultSite};
+use minic::ast::NodeId;
 use minic::Program;
 use minic_exec::{ArgValue, ExecEngine, ExecError, MachineConfig, Outcome, Prepared, Trap};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Result of simulating one test input on the FPGA side.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,6 +21,25 @@ pub struct SimResult {
     pub outcome: Outcome,
     /// Scheduled latency estimate.
     pub estimate: FpgaEstimate,
+    /// What the run counted on its way, when the simulator records it
+    /// ([`FpgaSimulator`] does; a backend that does not leaves `None`).
+    /// It lets a pragma-only variant of the program be replayed instead of
+    /// simulated: see [`crate::replay`].
+    pub run: Option<Arc<SimRun>>,
+}
+
+/// The dynamic counts a latency estimate is computed from, kept with a
+/// simulation so it can be re-estimated for another program.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SimRun {
+    /// Abstract ops the runner charged, global initializers included.
+    pub ops: u64,
+    /// Iterations executed per loop statement.
+    pub loop_stats: BTreeMap<NodeId, u64>,
+    /// Calls executed per function.
+    pub call_counts: BTreeMap<String, u64>,
+    /// The schedule model the estimate used.
+    pub model: ScheduleModel,
 }
 
 /// FPGA simulator for one program.
@@ -162,18 +184,29 @@ impl<'p> FpgaSimulator<'p> {
                         latency_ms: 0.0,
                         effective_ops: 0.0,
                     },
+                    run: None,
                 }
             }
         };
         let outcome = runner.run_kernel(&self.kernel, args);
+        let run = SimRun {
+            ops: runner.ops(),
+            loop_stats: runner.loop_stats(),
+            call_counts: runner.call_counts(),
+            model: self.model,
+        };
         let estimate = estimate_latency(
             &self.model,
             self.program,
-            runner.ops(),
-            &runner.loop_stats(),
+            run.ops,
+            &run.loop_stats,
             self.program.config.clock_mhz,
         );
-        SimResult { outcome, estimate }
+        SimResult {
+            outcome,
+            estimate,
+            run: Some(Arc::new(run)),
+        }
     }
 
     /// Simulates a batch of inputs and returns the mean latency (ms) and

@@ -4,7 +4,7 @@
 //! pretty-printed source means every candidate costs a full render plus a
 //! permanently retained `String`. A fingerprint is an FNV-1a hash over the
 //! AST *structure* — variant tags, names, literals, types, and the design
-//! config — while ignoring [`NodeId`](crate::ast::NodeId)s and
+//! config — while ignoring [`NodeId`]s and
 //! [`Span`](crate::token::Span)s, which differ between
 //! otherwise identical candidates derived along different edit paths.
 //!
@@ -12,12 +12,17 @@
 //! pretty-printed source have equal fingerprints. The converse can fail
 //! with probability ~2⁻⁶⁴ per pair; the search tolerates a false dedup hit
 //! the same way it tolerates re-deriving an already-seen candidate.
+//!
+//! [`fingerprint_behaviour`] walks the same structure once more, leaving out
+//! what cannot change a simulation's outcome — pragmas, the clock and the
+//! device — and labels the remaining nodes on the way.
 
 use crate::ast::{
-    Block, Ctor, DesignConfig, Expr, ExprKind, Function, Item, Param, Pragma, PragmaKind, Program,
-    Stmt, StmtKind, StructDef, UnOp, VarDecl,
+    Block, Ctor, DesignConfig, Expr, ExprKind, Function, Item, NodeId, Param, Pragma, PragmaKind,
+    Program, Stmt, StmtKind, StructDef, UnOp, VarDecl,
 };
 use crate::types::{ArraySize, Type};
+use std::sync::Arc;
 
 /// Streaming FNV-1a over structural bytes.
 struct Fnv(u64);
@@ -29,13 +34,20 @@ impl Fnv {
     fn new() -> Fnv {
         Fnv(Self::OFFSET)
     }
+}
 
-    fn bytes(&mut self, bs: &[u8]) {
-        for &b in bs {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
+/// What a structural walk writes to: plain FNV-1a for
+/// [`fingerprint_program`], or [`Behaviour`], which also labels nodes and
+/// leaves pragmas out. Monomorphized, so the plain walk pays nothing for the
+/// other.
+trait Sink: Sized {
+    /// Leave pragma items and statements, the clock and the device out.
+    const PRAGMA_BLIND: bool = false;
+
+    fn bytes(&mut self, bs: &[u8]);
+
+    /// Records a statement or expression id.
+    fn node(&mut self, _id: NodeId) {}
 
     /// Variant / position tag. Each call site uses a distinct constant so
     /// that differently-shaped trees cannot collide by concatenation.
@@ -76,21 +88,79 @@ impl Fnv {
     }
 }
 
+impl Sink for Fnv {
+    fn bytes(&mut self, bs: &[u8]) {
+        for &b in bs {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(Self::PRIME);
+        }
+    }
+}
+
+/// The pragma-blind structure hash plus the labeling of the nodes it
+/// covers.
+struct Behaviour {
+    shape: Fnv,
+    ids: Fnv,
+}
+
+impl Sink for Behaviour {
+    const PRAGMA_BLIND: bool = true;
+
+    fn bytes(&mut self, bs: &[u8]) {
+        self.shape.bytes(bs);
+    }
+
+    fn node(&mut self, id: NodeId) {
+        self.ids.u64(id.0 as u64);
+    }
+}
+
+fn is_pragma_stmt(s: &Stmt) -> bool {
+    matches!(s.kind, StmtKind::Pragma(_))
+}
+
 /// Structural fingerprint of a whole program, including its
 /// [`DesignConfig`]. `NodeId`s, spans, and the internal id counter do not
 /// participate, so candidates that print identically hash identically.
 pub fn fingerprint_program(p: &Program) -> u64 {
     let mut h = Fnv::new();
-    hash_config(&mut h, &p.config);
-    h.u64(p.items.len() as u64);
-    for item in &p.items {
-        hash_item(&mut h, item);
-    }
+    hash_program(&mut h, p);
     h.0
 }
 
+/// The behaviour key of a program, from one walk: its structural
+/// fingerprint with every pragma (file-scope and statement), the clock and
+/// the device left out, paired with the fingerprint of the remaining
+/// statement and expression ids.
+///
+/// Pragmas steer synthesis, not C semantics — both execution engines run a
+/// pragma statement as a no-op — so two programs with equal keys behave
+/// identically on every input, up to the one op each executed pragma
+/// statement is charged. The id half keeps loop and branch ids (which a
+/// run's loop statistics are keyed by) labeled alike. `config.top` stays
+/// in: it picks the kernel. Neither value equals [`fingerprint_program`] or
+/// [`fingerprint_node_ids`].
+pub fn fingerprint_behaviour(p: &Program) -> (u64, u64) {
+    let mut h = Behaviour {
+        shape: Fnv::new(),
+        ids: Fnv::new(),
+    };
+    hash_program(&mut h, p);
+    (h.shape.0, h.ids.0)
+}
+
+fn hash_program<H: Sink>(h: &mut H, p: &Program) {
+    hash_config(h, &p.config);
+    let kept = |i: &&Arc<Item>| !(H::PRAGMA_BLIND && matches!(***i, Item::Pragma(_)));
+    h.u64(p.items.iter().filter(kept).count() as u64);
+    for item in p.items.iter().filter(kept) {
+        hash_item(h, item);
+    }
+}
+
 /// Fingerprint of a program's *node-id labeling*: an FNV-1a hash over every
-/// statement and expression [`NodeId`](crate::ast::NodeId) in deterministic
+/// statement and expression [`NodeId`] in deterministic
 /// traversal order. Programs with equal [`fingerprint_program`] can still
 /// differ here — reparses and print-identical candidates derived along
 /// different edit paths renumber their nodes from different counters.
@@ -108,14 +178,16 @@ pub fn fingerprint_node_ids(p: &Program) -> u64 {
     h.0
 }
 
-fn hash_config(h: &mut Fnv, c: &DesignConfig) {
+fn hash_config<H: Sink>(h: &mut H, c: &DesignConfig) {
     h.tag(0x01);
     h.opt(&c.top, |h, t| h.str(t));
-    h.f64(c.clock_mhz);
-    h.str(&c.device);
+    if !H::PRAGMA_BLIND {
+        h.f64(c.clock_mhz);
+        h.str(&c.device);
+    }
 }
 
-fn hash_item(h: &mut Fnv, item: &Item) {
+fn hash_item<H: Sink>(h: &mut H, item: &Item) {
     match item {
         Item::Function(f) => {
             h.tag(0x10);
@@ -150,7 +222,7 @@ fn hash_item(h: &mut Fnv, item: &Item) {
     }
 }
 
-fn hash_function(h: &mut Fnv, f: &Function) {
+fn hash_function<H: Sink>(h: &mut H, f: &Function) {
     h.str(&f.name);
     hash_type(h, &f.ret);
     h.boolean(f.is_static);
@@ -161,13 +233,13 @@ fn hash_function(h: &mut Fnv, f: &Function) {
     h.opt(&f.body, hash_block);
 }
 
-fn hash_param(h: &mut Fnv, p: &Param) {
+fn hash_param<H: Sink>(h: &mut H, p: &Param) {
     h.str(&p.name);
     hash_type(h, &p.ty);
     h.boolean(p.by_ref);
 }
 
-fn hash_struct(h: &mut Fnv, s: &StructDef) {
+fn hash_struct<H: Sink>(h: &mut H, s: &StructDef) {
     h.str(&s.name);
     h.boolean(s.is_union);
     h.u64(s.fields.len() as u64);
@@ -183,7 +255,7 @@ fn hash_struct(h: &mut Fnv, s: &StructDef) {
     h.opt(&s.ctor, hash_ctor);
 }
 
-fn hash_ctor(h: &mut Fnv, c: &Ctor) {
+fn hash_ctor<H: Sink>(h: &mut H, c: &Ctor) {
     h.u64(c.params.len() as u64);
     for p in &c.params {
         hash_param(h, p);
@@ -196,7 +268,7 @@ fn hash_ctor(h: &mut Fnv, c: &Ctor) {
     hash_block(h, &c.body);
 }
 
-fn hash_var_decl(h: &mut Fnv, d: &VarDecl) {
+fn hash_var_decl<H: Sink>(h: &mut H, d: &VarDecl) {
     h.str(&d.name);
     hash_type(h, &d.ty);
     h.boolean(d.is_static);
@@ -204,14 +276,16 @@ fn hash_var_decl(h: &mut Fnv, d: &VarDecl) {
     h.opt(&d.init, hash_expr);
 }
 
-fn hash_block(h: &mut Fnv, b: &Block) {
-    h.u64(b.stmts.len() as u64);
-    for s in &b.stmts {
+fn hash_block<H: Sink>(h: &mut H, b: &Block) {
+    let kept = |s: &&Arc<Stmt>| !(H::PRAGMA_BLIND && is_pragma_stmt(s));
+    h.u64(b.stmts.iter().filter(kept).count() as u64);
+    for s in b.stmts.iter().filter(kept) {
         hash_stmt(h, s);
     }
 }
 
-fn hash_stmt(h: &mut Fnv, s: &Stmt) {
+fn hash_stmt<H: Sink>(h: &mut H, s: &Stmt) {
+    h.node(s.id);
     match &s.kind {
         StmtKind::Decl(d) => {
             h.tag(0x30);
@@ -270,7 +344,8 @@ fn hash_stmt(h: &mut Fnv, s: &Stmt) {
     }
 }
 
-fn hash_expr(h: &mut Fnv, e: &Expr) {
+fn hash_expr<H: Sink>(h: &mut H, e: &Expr) {
+    h.node(e.id);
     match &e.kind {
         ExprKind::IntLit(v, unsigned) => {
             h.tag(0x50);
@@ -364,14 +439,14 @@ fn hash_expr(h: &mut Fnv, e: &Expr) {
     }
 }
 
-fn hash_exprs(h: &mut Fnv, xs: &[Expr]) {
+fn hash_exprs<H: Sink>(h: &mut H, xs: &[Expr]) {
     h.u64(xs.len() as u64);
     for x in xs {
         hash_expr(h, x);
     }
 }
 
-fn hash_unop(h: &mut Fnv, op: UnOp) {
+fn hash_unop<H: Sink>(h: &mut H, op: UnOp) {
     match op {
         UnOp::Neg => h.tag(0x70),
         UnOp::Not => h.tag(0x71),
@@ -389,7 +464,7 @@ fn hash_unop(h: &mut Fnv, op: UnOp) {
     }
 }
 
-fn hash_pragma(h: &mut Fnv, p: &Pragma) {
+fn hash_pragma<H: Sink>(h: &mut H, p: &Pragma) {
     match &p.kind {
         PragmaKind::Pipeline { ii } => {
             h.tag(0x80);
@@ -434,7 +509,7 @@ fn hash_pragma(h: &mut Fnv, p: &Pragma) {
     }
 }
 
-fn hash_type(h: &mut Fnv, ty: &Type) {
+fn hash_type<H: Sink>(h: &mut H, ty: &Type) {
     match ty {
         Type::Void => h.tag(0x90),
         Type::Bool => h.tag(0x91),
@@ -562,5 +637,46 @@ mod tests {
 
         let define = parse(&SRC.replace("#define N 8", "#define N 9")).unwrap();
         assert_ne!(fingerprint_program(&base), fingerprint_program(&define));
+    }
+
+    #[test]
+    fn behaviour_key_is_blind_to_pragmas_clock_and_device() {
+        let base = parse(SRC).unwrap();
+        let mut pragma_id = None;
+        crate::visit::visit_stmts(&base, &mut |s| {
+            if is_pragma_stmt(s) {
+                pragma_id = Some(s.id);
+            }
+        });
+        let mut stripped = base.clone();
+        assert!(crate::edit::remove_stmt(&mut stripped, pragma_id.unwrap()));
+        stripped.config.clock_mhz = 100.0;
+        stripped.config.device = "other".to_string();
+        stripped.items.push(Arc::new(Item::Pragma(Pragma {
+            kind: PragmaKind::Dataflow,
+        })));
+        assert_ne!(fingerprint_program(&base), fingerprint_program(&stripped));
+        assert_eq!(
+            fingerprint_behaviour(&base),
+            fingerprint_behaviour(&stripped)
+        );
+    }
+
+    #[test]
+    fn behaviour_key_tracks_structure_top_and_labeling() {
+        let base = fingerprint_behaviour(&parse(SRC).unwrap());
+        let variant = parse(&SRC.replace("acc + a[i]", "acc - a[i]")).unwrap();
+        assert_ne!(base.0, fingerprint_behaviour(&variant).0);
+
+        let mut top = parse(SRC).unwrap();
+        top.config.top = Some("kernel".to_string());
+        assert_ne!(base.0, fingerprint_behaviour(&top).0);
+
+        // Print-identical, labeled differently: only the id half differs.
+        let mut shifted = parse(&format!("int __pad = 1;\n{SRC}")).unwrap();
+        shifted.items.remove(0);
+        let shifted = fingerprint_behaviour(&shifted);
+        assert_eq!(base.0, shifted.0);
+        assert_ne!(base.1, shifted.1);
     }
 }

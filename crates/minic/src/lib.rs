@@ -52,7 +52,7 @@ pub use ast::{
     PragmaKind, Program, Stmt, StmtKind, StructDef, VarDecl,
 };
 pub use error::{ParseError, TypeError};
-pub use fingerprint::{fingerprint_node_ids, fingerprint_program};
+pub use fingerprint::{fingerprint_behaviour, fingerprint_node_ids, fingerprint_program};
 pub use parser::{parse, MAX_NESTING};
 pub use printer::print_program;
 pub use types::{ArraySize, IntWidth, Type};

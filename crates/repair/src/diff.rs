@@ -4,12 +4,32 @@
 //! the reference; each repair candidate is simulated on the FPGA side and
 //! compared. "HeteroGen computes the ratio of tests that have identical
 //! behavior, and compares the simulation latency … between CPU and FPGA."
+//!
+//! # Behaviour memo
+//!
+//! Performance exploration keeps adding pragma variants of one design, and
+//! pragmas do not change what a simulation computes. A tester therefore
+//! remembers, for as long as it lives (one repair job), each fault-free
+//! simulation under the candidate's pragma-blind behaviour key
+//! ([`minic::fingerprint_behaviour`]) and the test index. A later
+//! candidate with the same key is replayed ([`hls_sim::replay`]): its
+//! outputs and loop counts are reused, its op count repriced by its own
+//! pragma statements and its latency re-estimated with its own pragmas —
+//! exactly what a real run returns, so reports and traces are unchanged.
+//! Look-ups and inserts happen on the calling thread, around the worker
+//! pool; [`MemoStats`] counts every decision.
 
 use heterogen_faults::{FaultInjector, ResilienceStats, RetryPolicy};
 use heterogen_toolchain::{Env, Resilient, Toolchain};
 use heterogen_trace::{Event, TraceSink};
+use hls_sim::{BaseRun, Fallback, PragmaCover, SimResult};
 use minic::Program;
 use minic_exec::{CpuCostModel, ExecEngine, MachineConfig, Outcome, Prepared};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::sync::Mutex;
 use testgen::TestCase;
 
 /// Result of differentially testing one candidate.
@@ -29,6 +49,61 @@ impl DiffReport {
     };
 }
 
+/// How a tester's behaviour memo settled each test simulation: one
+/// decision per test of every simulatable candidate evaluated.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Replayed from a stored run: nothing ran on the simulator.
+    pub replays: u64,
+    /// First simulation of this behaviour and test: ran for real.
+    pub misses: u64,
+    /// Ran for real: an uncovered pragma in the stored or the new program.
+    pub uncovered_pragma: u64,
+    /// Ran for real: the stored run trapped.
+    pub trapped: u64,
+    /// Ran for real: the repriced op count reached the fuel limit.
+    pub fuel: u64,
+    /// Ran for real: the backend keeps no run record.
+    pub no_run_record: u64,
+    /// Ran for real: faults were injected, so the memo was not consulted.
+    pub faults_enabled: u64,
+}
+
+impl MemoStats {
+    fn fall_back(&mut self, reason: Fallback) {
+        match reason {
+            Fallback::UncoveredPragma => self.uncovered_pragma += 1,
+            Fallback::Trapped => self.trapped += 1,
+            Fallback::Fuel => self.fuel += 1,
+            Fallback::NoRunRecord => self.no_run_record += 1,
+        }
+    }
+
+    /// Every counter by name, in reporting order.
+    pub fn rows(&self) -> [(&'static str, u64); 7] {
+        [
+            ("replays", self.replays),
+            ("misses", self.misses),
+            ("fallback.uncovered_pragma", self.uncovered_pragma),
+            ("fallback.trapped", self.trapped),
+            ("fallback.fuel", self.fuel),
+            ("fallback.no_run_record", self.no_run_record),
+            ("fallback.faults_enabled", self.faults_enabled),
+        ]
+    }
+}
+
+/// Memo key: behaviour fingerprint pair, backend identity, test index.
+type MemoKey = (u64, u64, u64, usize);
+
+/// The behaviour memo: per key, the stored run stripped of its pragma
+/// executions, or why it cannot be replayed.
+#[derive(Debug, Default)]
+struct Memo {
+    runs: HashMap<MemoKey, Result<BaseRun, Fallback>>,
+    stats: MemoStats,
+}
+
 /// Precomputed CPU reference outcomes for a test suite.
 #[derive(Debug)]
 pub struct DifferentialTester {
@@ -36,6 +111,7 @@ pub struct DifferentialTester {
     reference: Vec<Outcome>,
     cpu_latency_ms: f64,
     threads: usize,
+    memo: Mutex<Memo>,
 }
 
 impl DifferentialTester {
@@ -85,7 +161,17 @@ impl DifferentialTester {
             tests,
             reference,
             threads,
+            memo: Mutex::default(),
         })
+    }
+
+    /// How the behaviour memo has settled this tester's simulations so far.
+    pub fn memo_stats(&self) -> MemoStats {
+        self.memo().stats
+    }
+
+    fn memo(&self) -> std::sync::MutexGuard<'_, Memo> {
+        self.memo.lock().expect("behaviour memo poisoned")
     }
 
     /// Number of tests in play.
@@ -112,27 +198,105 @@ impl DifferentialTester {
     /// thread, so neither depends on the thread count. A backend that
     /// cannot simulate the candidate at all (or fails a test's invocation)
     /// scores that test as failing.
+    ///
+    /// Tests whose behaviour the memo already holds are replayed instead of
+    /// simulated (see the module docs); the report is the same either way.
     pub fn evaluate_with<B, S>(&self, backend: &B, candidate: &Program, sink: &S) -> DiffReport
     where
         B: Toolchain + ?Sized,
         S: TraceSink + ?Sized,
     {
         let report = if backend.can_simulate(candidate) {
-            let runs: Vec<(bool, f64)> =
-                parallel::parallel_map(self.threads, &self.tests, |i, t| {
-                    match backend.simulate(candidate, t, i as u64) {
-                        Ok(sim) => (
-                            self.reference[i].behaviour_eq(&sim.result.outcome),
-                            sim.result.estimate.latency_ms,
-                        ),
-                        Err(_) => (false, 0.0),
-                    }
-                });
-            self.fold(runs.into_iter().map(|(ok, ms)| Some((ok, ms))))
+            let runs = self.simulate_memoized(backend, candidate);
+            self.fold(runs.into_iter().map(Some))
         } else {
             DiffReport::UNSIMULATABLE
         };
         self.emit(sink, report)
+    }
+
+    /// Scores every test of `candidate`: replayed where the memo can, on
+    /// the worker pool otherwise, and stores what ran for real.
+    fn simulate_memoized<B>(&self, backend: &B, candidate: &Program) -> Vec<(bool, f64)>
+    where
+        B: Toolchain + ?Sized,
+    {
+        let (shape, ids) = minic::fingerprint_behaviour(candidate);
+        let backend_id = {
+            let info = backend.info();
+            let mut h = DefaultHasher::new();
+            (info.name, info.device, backend.engine()).hash(&mut h);
+            h.finish()
+        };
+        let key = |i: usize| (shape, ids, backend_id, i);
+        let cover = PragmaCover::of(candidate);
+
+        let mut scores: Vec<Option<(bool, f64)>> = Vec::with_capacity(self.tests.len());
+        {
+            let mut memo = self.memo();
+            let memo = &mut *memo;
+            for i in 0..self.tests.len() {
+                let Some(stored) = memo.runs.get(&key(i)) else {
+                    memo.stats.misses += 1;
+                    scores.push(None);
+                    continue;
+                };
+                let replayed = stored.as_ref().map_err(|r| *r).and_then(|base| {
+                    base.replay(candidate, cover.as_ref().ok_or(Fallback::UncoveredPragma)?)
+                });
+                match replayed {
+                    Ok(sim) => {
+                        memo.stats.replays += 1;
+                        scores.push(Some(self.score(i, &sim)));
+                    }
+                    Err(reason) => {
+                        memo.stats.fall_back(reason);
+                        scores.push(None);
+                    }
+                }
+            }
+        }
+
+        let live: Vec<usize> = (0..self.tests.len())
+            .filter(|&i| scores[i].is_none())
+            .collect();
+        let runs: Vec<Option<SimResult>> = parallel::parallel_map(self.threads, &live, |_, &i| {
+            backend
+                .simulate(candidate, &self.tests[i], i as u64)
+                .ok()
+                .map(|sim| sim.result)
+        });
+
+        let mut memo = self.memo();
+        for (&i, run) in live.iter().zip(runs) {
+            let Some(sim) = run else {
+                scores[i] = Some((false, 0.0));
+                continue;
+            };
+            scores[i] = Some(self.score(i, &sim));
+            let base = match &cover {
+                Some(cover) => BaseRun::strip(&sim, cover),
+                None => Err(Fallback::UncoveredPragma),
+            };
+            // The first replayable run of a behaviour is kept; one that
+            // cannot be replayed gives way to a later one that can.
+            match memo.runs.entry(key(i)) {
+                Entry::Occupied(mut e) if e.get().is_err() => *e.get_mut() = base,
+                Entry::Occupied(_) => {}
+                Entry::Vacant(v) => {
+                    v.insert(base);
+                }
+            }
+        }
+        scores.into_iter().flatten().collect()
+    }
+
+    /// `(behaviour_eq, latency_ms)` of test `i`'s simulation.
+    fn score(&self, i: usize, sim: &SimResult) -> (bool, f64) {
+        (
+            self.reference[i].behaviour_eq(&sim.outcome),
+            sim.estimate.latency_ms,
+        )
     }
 
     /// Like [`DifferentialTester::evaluate_with`], simulating on
@@ -177,6 +341,8 @@ impl DifferentialTester {
             let report = self.emit(sink, DiffReport::UNSIMULATABLE);
             return (report, ResilienceStats::default());
         }
+        // The memo holds fault-free runs only: here every test runs live.
+        self.memo().stats.faults_enabled += self.tests.len() as u64;
         let resilient = Resilient::new(&env.backend, &env.faults, *retry);
 
         // End states a worker can reach: success, transient faults that
@@ -190,14 +356,7 @@ impl DifferentialTester {
         let runs: Vec<TestRun> = parallel::parallel_map(self.threads, &self.tests, |i, t| {
             let test_key = heterogen_faults::mix_key(key, i as u64);
             match resilient.simulate(candidate, t, test_key) {
-                Ok(sim) => (
-                    Some((
-                        self.reference[i].behaviour_eq(&sim.result.outcome),
-                        sim.result.estimate.latency_ms,
-                    )),
-                    sim.transients,
-                    OK,
-                ),
+                Ok(sim) => (Some(self.score(i, &sim.result)), sim.transients, OK),
                 Err(e) if e.is_exhausted() => (None, e.absorbed_transients(), EXHAUSTED),
                 Err(e) => (None, e.absorbed_transients(), PERMANENT),
             }
@@ -286,8 +445,12 @@ impl DifferentialTester {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use heterogen_toolchain::SimBackend;
+    use heterogen_toolchain::{
+        BackendInfo, CompileCostModel, Compiled, SimBackend, Simulated, StyleViolation,
+        ToolchainError,
+    };
     use heterogen_trace::NullSink;
+    use minic::ast::StmtKind;
     use minic_exec::ArgValue;
 
     fn tester(p: &Program, tests: &[TestCase], max_tests: usize) -> DifferentialTester {
@@ -337,5 +500,270 @@ mod tests {
         let tests: Vec<TestCase> = vec![vec![ArgValue::Int(1)]];
         let d = tester(&p, &tests, 10);
         assert_eq!(evaluate(&d, &broken).pass_ratio, 0.0);
+    }
+
+    const ENGINES: [ExecEngine; 2] = [ExecEngine::TreeWalk, ExecEngine::Bytecode];
+
+    /// A pipelined loop; the tests are arrays of 8 and a multiplier.
+    const PIPELINED: &str = "int kernel(int a[8], int n) { int s = 0;
+        for (int i = 0; i < 8; i++) {
+#pragma HLS pipeline II=1
+            s = s + a[i] * n;
+        }
+        return s; }";
+
+    fn array_tests() -> Vec<TestCase> {
+        (0..4)
+            .map(|k| vec![ArgValue::IntArray((k..k + 8).collect()), ArgValue::Int(k)])
+            .collect()
+    }
+
+    /// `p` with every pragma statement removed; every other node keeps its
+    /// id, as along a repair edit path.
+    fn without_pragmas(p: &Program) -> Program {
+        let mut ids = Vec::new();
+        minic::visit::visit_stmts(p, &mut |s| {
+            if matches!(s.kind, StmtKind::Pragma(_)) {
+                ids.push(s.id);
+            }
+        });
+        let mut q = p.clone();
+        for id in ids {
+            assert!(minic::edit::remove_stmt(&mut q, id));
+        }
+        q
+    }
+
+    fn bits(r: DiffReport) -> (u64, u64) {
+        (r.pass_ratio.to_bits(), r.fpga_latency_ms.to_bits())
+    }
+
+    /// Evaluates `first` then `second` on one tester over `reference`, and
+    /// checks `second`'s report bit for bit against a fresh tester's (which
+    /// simulates everything). Returns the shared tester's memo counts.
+    fn second_evaluation<B: Toolchain>(
+        backend: &B,
+        engine: ExecEngine,
+        reference: &Program,
+        tests: &[TestCase],
+        first: &Program,
+        second: &Program,
+    ) -> MemoStats {
+        let tester =
+            || DifferentialTester::with_engine(reference, "kernel", tests, 100, 2, engine).unwrap();
+        let shared = tester();
+        shared.evaluate_with(backend, first, &NullSink);
+        let memoized = shared.evaluate_with(backend, second, &NullSink);
+        let fresh = tester().evaluate_with(backend, second, &NullSink);
+        assert_eq!(bits(memoized), bits(fresh), "{engine}");
+        shared.memo_stats()
+    }
+
+    #[test]
+    fn pragma_variant_replays_bit_identically() {
+        let with = minic::parse(PIPELINED).unwrap();
+        let without = without_pragmas(&with);
+        let tests = array_tests();
+        let n = tests.len() as u64;
+        for engine in ENGINES {
+            let backend = SimBackend::default_profile().with_engine(engine);
+            for (first, second) in [(&without, &with), (&with, &without)] {
+                let stats = second_evaluation(&backend, engine, &without, &tests, first, second);
+                let want = MemoStats {
+                    replays: n,
+                    misses: n,
+                    ..MemoStats::default()
+                };
+                assert_eq!(stats, want, "{engine}");
+            }
+        }
+    }
+
+    #[test]
+    fn uncovered_pragma_runs_for_real() {
+        let with = minic::parse(
+            "int kernel(int a[8], int n) { int s = 0;
+            if (n > 1) {
+#pragma HLS inline
+                s = 1;
+            }
+            for (int i = 0; i < 8; i++) { s = s + a[i] * n; }
+            return s; }",
+        )
+        .unwrap();
+        let without = without_pragmas(&with);
+        let tests = array_tests();
+        let n = tests.len() as u64;
+        for engine in ENGINES {
+            let backend = SimBackend::default_profile().with_engine(engine);
+            for (first, second) in [(&without, &with), (&with, &without)] {
+                let stats = second_evaluation(&backend, engine, &without, &tests, first, second);
+                let want = MemoStats {
+                    misses: n,
+                    uncovered_pragma: n,
+                    ..MemoStats::default()
+                };
+                assert_eq!(stats, want, "{engine}");
+            }
+        }
+    }
+
+    #[test]
+    fn trapped_run_is_simulated_again() {
+        let with = minic::parse(
+            "int kernel(int n) { int s = 0;
+            for (int i = 0; i < 4; i++) {
+#pragma HLS pipeline
+                s = s + 12 / n;
+            }
+            return s; }",
+        )
+        .unwrap();
+        let without = without_pragmas(&with);
+        let tests: Vec<TestCase> = [0, 3, 0, 4].map(|n| vec![ArgValue::Int(n)]).to_vec();
+        for engine in ENGINES {
+            let backend = SimBackend::default_profile().with_engine(engine);
+            let stats = second_evaluation(&backend, engine, &without, &tests, &without, &with);
+            let want = MemoStats {
+                replays: 2,
+                misses: 4,
+                trapped: 2,
+                ..MemoStats::default()
+            };
+            assert_eq!(stats, want, "{engine}");
+        }
+    }
+
+    /// `SimBackend` with its run records dropped, like a backend that
+    /// keeps none.
+    struct Unrecorded(SimBackend);
+
+    impl Toolchain for Unrecorded {
+        fn info(&self) -> BackendInfo {
+            self.0.info()
+        }
+        fn cost_model(&self) -> CompileCostModel {
+            self.0.cost_model()
+        }
+        fn style_check(&self, p: &Program) -> Vec<StyleViolation> {
+            self.0.style_check(p)
+        }
+        fn compile(&self, p: &Program, key: u64) -> Result<Compiled, ToolchainError> {
+            self.0.compile(p, key)
+        }
+        fn simulate(
+            &self,
+            p: &Program,
+            args: &[ArgValue],
+            key: u64,
+        ) -> Result<Simulated, ToolchainError> {
+            let mut sim = self.0.simulate(p, args, key)?;
+            sim.result.run = None;
+            Ok(sim)
+        }
+    }
+
+    #[test]
+    fn backend_without_run_records_runs_for_real() {
+        let with = minic::parse(PIPELINED).unwrap();
+        let without = without_pragmas(&with);
+        let tests = array_tests();
+        let n = tests.len() as u64;
+        let backend = Unrecorded(SimBackend::default_profile());
+        let engine = ExecEngine::default();
+        let stats = second_evaluation(&backend, engine, &without, &tests, &without, &with);
+        let want = MemoStats {
+            misses: n,
+            no_run_record: n,
+            ..MemoStats::default()
+        };
+        assert_eq!(stats, want);
+    }
+
+    #[test]
+    fn covered_run_replaces_an_uncovered_entry() {
+        let with = minic::parse(
+            "int kernel(int a[8], int n) { int s = 0;
+            if (n > 1) {
+#pragma HLS inline
+                s = 1;
+            }
+            for (int i = 0; i < 8; i++) {
+#pragma HLS pipeline II=1
+                s = s + a[i] * n;
+            }
+            return s; }",
+        )
+        .unwrap();
+        let without = without_pragmas(&with);
+        let mut covered = with.clone();
+        let mut uncovered_id = None;
+        minic::visit::visit_stmts(&with, &mut |s| {
+            if let StmtKind::Pragma(p) = &s.kind {
+                if !matches!(p.kind, minic::ast::PragmaKind::Pipeline { .. }) {
+                    uncovered_id = Some(s.id);
+                }
+            }
+        });
+        assert!(minic::edit::remove_stmt(
+            &mut covered,
+            uncovered_id.unwrap()
+        ));
+        let tests = array_tests();
+        let n = tests.len() as u64;
+        for engine in ENGINES {
+            let backend = SimBackend::default_profile().with_engine(engine);
+            let d = DifferentialTester::with_engine(&without, "kernel", &tests, 100, 2, engine)
+                .unwrap();
+            // Stored: uncovered. Then a covered variant runs for real and
+            // takes the entry over, so the next variant replays.
+            d.evaluate_with(&backend, &with, &NullSink);
+            d.evaluate_with(&backend, &covered, &NullSink);
+            let replayed = d.evaluate_with(&backend, &without, &NullSink);
+            let fresh = DifferentialTester::with_engine(&without, "kernel", &tests, 100, 2, engine)
+                .unwrap()
+                .evaluate_with(&backend, &without, &NullSink);
+            assert_eq!(bits(replayed), bits(fresh), "{engine}");
+            let want = MemoStats {
+                replays: n,
+                misses: n,
+                uncovered_pragma: n,
+                ..MemoStats::default()
+            };
+            assert_eq!(d.memo_stats(), want, "{engine}");
+        }
+    }
+
+    #[test]
+    fn another_backend_profile_or_engine_is_another_key() {
+        let p = minic::parse(PIPELINED).unwrap();
+        let tests = array_tests();
+        let d = tester(&p, &tests, 100);
+        let default = SimBackend::default_profile();
+        let other_engine = match default.engine() {
+            ExecEngine::Bytecode => ExecEngine::TreeWalk,
+            ExecEngine::TreeWalk => ExecEngine::Bytecode,
+        };
+        d.evaluate_with(&default, &p, &NullSink);
+        d.evaluate_with(&SimBackend::embedded_profile(), &p, &NullSink);
+        d.evaluate_with(&default.with_engine(other_engine), &p, &NullSink);
+        assert_eq!(d.memo_stats().misses, 3 * tests.len() as u64);
+        assert_eq!(d.memo_stats().replays, 0);
+    }
+
+    #[test]
+    fn injected_faults_bypass_the_memo() {
+        let p = minic::parse(PIPELINED).unwrap();
+        let tests = array_tests();
+        let n = tests.len() as u64;
+        let d = tester(&p, &tests, 100);
+        let env = Env::new(SimBackend::default_profile())
+            .with_faults(heterogen_faults::FaultPlan::builder(1).build());
+        let (faulted, _) = d.evaluate_in(&env, &p, &RetryPolicy::default(), 7, 0.0);
+        assert_eq!(d.memo_stats().faults_enabled, n);
+        // Nothing was stored: the fault-free evaluation misses, and agrees.
+        let clean = d.evaluate_with(&env.backend, &p, &NullSink);
+        assert_eq!(d.memo_stats().misses, n);
+        assert_eq!(bits(faulted), bits(clean));
     }
 }

@@ -31,7 +31,7 @@ pub mod xform_stack;
 pub mod xform_struct;
 
 pub use classify::classify_message;
-pub use diff::{DiffReport, DifferentialTester};
+pub use diff::{DiffReport, DifferentialTester, MemoStats};
 pub use localize::candidate_edits;
 pub use script::{EditKind, EditScript, FixPattern, PatternEdit, ScriptEdit};
 pub use search::{

@@ -30,7 +30,7 @@
 //! sequential by construction.
 
 use crate::deps;
-use crate::diff::{DiffReport, DifferentialTester};
+use crate::diff::{DiffReport, DifferentialTester, MemoStats};
 use crate::localize::{candidate_edits, resize_edits};
 use crate::script::{EditKind, EditScript, FixPattern, ScriptEdit};
 use crate::templates::{RepairEdit, ResizeTarget};
@@ -323,6 +323,9 @@ pub struct RepairOutcome {
     /// Faults absorbed along the way (kept out of [`SearchStats`] so a
     /// transient-recovered run reports identical primary statistics).
     pub resilience: ResilienceStats,
+    /// How the differential tester's behaviour memo settled the search's
+    /// simulations (wall-clock work only: it never changes a report).
+    pub memo: MemoStats,
 }
 
 #[derive(Clone)]
@@ -537,6 +540,7 @@ where
                 stats: ledger.stats,
                 stop: SearchStop::PermanentFault(e.to_string()),
                 resilience: ledger.resilience,
+                memo: tester.memo_stats(),
             });
         }
     };
@@ -911,6 +915,7 @@ where
                 stats,
                 stop,
                 resilience,
+                memo: tester.memo_stats(),
             })
         }
         None => {
@@ -937,6 +942,7 @@ where
                 stats,
                 stop,
                 resilience,
+                memo: tester.memo_stats(),
             })
         }
     }

@@ -1355,6 +1355,7 @@ impl Toolchain for MockToolchain {
                     latency_ms: 1.0,
                     effective_ops: 1.0,
                 },
+                run: None,
             },
             transients: 0,
         })

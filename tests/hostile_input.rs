@@ -1,11 +1,13 @@
 //! Inputs that used to abort the whole process — a struct that contains
-//! itself by value, nesting deep enough to exhaust the stack — surface as
-//! typed errors instead, through `Session::run` and through the job server
-//! alike; and the deepest input the parser accepts runs end to end.
+//! itself by value, nesting deep enough to exhaust the stack, a kernel
+//! whose fuzzed `malloc` size asks for tens of gigabytes — surface as typed
+//! errors or traps instead, through `Session::run` and through the job
+//! server alike; and the deepest input the parser accepts runs end to end.
 
 use heterogen_core::{HeteroGen, JobSpec, PipelineConfig, PipelineError, Session};
 use heterogen_server::{Server, ServerConfig};
 use minic::MAX_NESTING;
+use minic_exec::{ArgValue, ExecEngine, ExecError, MachineConfig, Prepared, Trap};
 
 fn tiny_pipeline() -> PipelineConfig {
     let mut cfg = PipelineConfig::quick();
@@ -125,4 +127,94 @@ fn deepest_accepted_declarator_runs_end_to_end() {
         .run(JobSpec::fuzz(p, "kernel", vec![]))
         .expect("the pipeline handles the deepest accepted declarator");
     assert!(report.testgen.tests > 0);
+}
+
+/// A kernel that allocates as many cells as its argument asks. Seeded
+/// with `n = 4`, fuzzing drives `n` up until the request reaches tens of
+/// gigabytes.
+const MALLOC_KERNEL: &str = "int kernel(int n) { if (n < 1) { n = 1; } \
+     int* p = (int*)malloc(n * sizeof(int)); p[0] = n; int r = p[0]; free(p); return r; }";
+
+fn malloc_job() -> JobSpec {
+    let p = minic::parse(MALLOC_KERNEL).unwrap();
+    JobSpec::fuzz(p, "kernel", vec![vec![ArgValue::Int(4)]])
+}
+
+#[test]
+fn oversized_malloc_traps_alike_on_both_engines() {
+    let p = minic::parse(MALLOC_KERNEL).unwrap();
+    let budget = ExecError::trap(Trap::CellBudgetExhausted).to_string();
+    for engine in [ExecEngine::TreeWalk, ExecEngine::Bytecode] {
+        for config in [MachineConfig::cpu(), MachineConfig::fpga()] {
+            let prepared = Prepared::new(engine, &p);
+            let mut fits = prepared.runner(config).unwrap();
+            let ok = fits.run_kernel("kernel", &[ArgValue::Int(1000)]);
+            assert!(!ok.trapped, "{engine}: {ok:?}");
+            let mut huge = prepared.runner(config).unwrap();
+            let out = huge.run_kernel("kernel", &[ArgValue::Int(i32::MAX.into())]);
+            assert!(out.trapped, "{engine}");
+            assert_eq!(
+                out.trap_reason.as_deref(),
+                Some(budget.as_str()),
+                "{engine}"
+            );
+        }
+    }
+}
+
+#[test]
+fn fuzzed_malloc_size_survives_session_run() {
+    let report = HeteroGen::builder()
+        .config(PipelineConfig::default())
+        .build()
+        .run(malloc_job())
+        .expect("the pipeline completes");
+    assert!(report.testgen.tests > 0);
+}
+
+#[test]
+fn fuzzed_malloc_size_is_one_server_job() {
+    let server = Server::start(
+        ServerConfig::builder()
+            .with_workers(1)
+            .with_pipeline(tiny_pipeline())
+            .build(),
+    );
+    let good = || {
+        let p = minic::parse("int kernel(int x) { return x + 1; }").unwrap();
+        JobSpec::fuzz(p, "kernel", vec![])
+    };
+    let before = server.submit(good()).unwrap();
+    let hostile = server.submit(malloc_job()).unwrap();
+    let after = server.submit(good()).unwrap();
+    // The job completes or fails as itself; either way the server lives.
+    let _ = hostile.wait().report;
+    assert!(before.wait().report.is_ok());
+    assert!(after.wait().report.is_ok());
+    let stats = server.shutdown();
+    assert_eq!(stats.completed, 3);
+}
+
+/// P8 with `return head;` in `drop_negatives` changed to `return  * head;`.
+/// Type checking accepts it; repair then admits `resize` after `resize`,
+/// each doubling a `#define`, until building the VM's globals used to ask
+/// for gigabytes. The cell budget turns that into a trap, and the search
+/// runs out of simulated time instead.
+#[test]
+fn runaway_resize_chain_survives_session_run() {
+    let s = benchsuite::subject("P8").expect("P8 exists");
+    let src = s
+        .source
+        .replacen("    return head;\n}", "    return  * head;\n}", 1);
+    assert_ne!(src, s.source, "the mutation applies");
+    let p = minic::parse(&src).expect("the mutant parses");
+    let mut seeds = s.seed_inputs.clone();
+    seeds.extend(s.existing_tests.clone());
+    let report = HeteroGen::builder()
+        .config(bench::standard_config())
+        .build()
+        .run(JobSpec::builder(p, s.kernel).seeds(seeds).build())
+        .expect("the pipeline completes");
+    assert!(!report.success());
+    assert!(report.degraded());
 }
